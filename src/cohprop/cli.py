@@ -4,8 +4,8 @@ Each run validates its parameters, writes its outputs, and drops a
 manifest (resolved parameters, input hashes, library versions) next to
 them so results can be reproduced byte for byte. Defaults can come from a
 JSON config file ({"global": {...}, "<subcommand>": {...}}); explicit
-flags win over the config file, which wins over environment variables
-(COHPROP_OUTDIR, COHPROP_THREADS).
+flags win over the config file, which wins over the environment variable
+COHPROP_OUTDIR.
 """
 from __future__ import annotations
 
@@ -44,7 +44,6 @@ from .scaling import (
 from .synthetic import PlantedConfig, generate_planted
 
 ENV_OUTDIR = "COHPROP_OUTDIR"
-ENV_THREADS = "COHPROP_THREADS"
 
 
 def _sha256(path: Path) -> str:
@@ -279,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     base = argparse.ArgumentParser(add_help=False)
     base.add_argument("--out-dir", default=None, help="directory for outputs and manifest")
-    base.add_argument("--threads", type=int, default=None,
-                      help="advisory worker count, recorded in the manifest")
 
     common = argparse.ArgumentParser(add_help=False, parents=[base])
     common.add_argument("--config", default=None, help="JSON config file with defaults")
@@ -389,8 +386,6 @@ def dispatch(argv: list[str] | None = None) -> int:
     out_dir = args.out_dir or os.environ.get(ENV_OUTDIR) or "."
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.threads is None and os.environ.get(ENV_THREADS):
-        args.threads = int(os.environ[ENV_THREADS])
     return args.func(args, out_dir)
 
 

@@ -142,27 +142,25 @@ def spatial_uniform_sample(
     span[span == 0] = 1.0  # degenerate axes collapse to one bin
     bins = int(grid_bins)
     idx = np.clip((feats - lows) / span * bins, 0, bins - 1).astype(np.int64)
-    cell_ids = np.ravel_multi_index(idx.T, dims=(bins,) * store.dim)
-
-    members: dict[int, list[int]] = {}
-    for node, cell in zip(V.tolist(), cell_ids.tolist()):
-        members.setdefault(cell, []).append(node)
+    # cells in lexicographic order of their bin indices, at any dimension
+    _, cell_of = np.unique(idx, axis=0, return_inverse=True)
+    cell_of = cell_of.ravel()
+    counts = np.bincount(cell_of)
+    members = np.split(V[np.argsort(cell_of, kind="stable")], np.cumsum(counts)[:-1])
 
     rng = np.random.default_rng(seed)
-    order = [int(c) for c in rng.permutation(sorted(members))]
-    queues = {cell: [int(v) for v in rng.permutation(members[cell])] for cell in sorted(members)}
+    order = rng.permutation(counts.size).tolist()
+    queues = [rng.permutation(m).tolist() for m in members]
 
+    # every visit of a round pops from some nonempty queue while n <= V.size
     picked: list[int] = []
     while len(picked) < n:
-        progressed = False
         for cell in order:
             queue = queues[cell]
             if queue:
                 picked.append(queue.pop())
-                progressed = True
                 if len(picked) == n:
                     break
-        assert progressed, "ran out of candidates before reaching n"
     return np.array(sorted(picked), dtype=np.int64)
 
 

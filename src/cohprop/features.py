@@ -76,30 +76,44 @@ class FeatureStore:
         for node in sorted(self._values):
             yield node, self._values[node]
 
-    def _coerce(self, vec) -> np.ndarray:
-        arr = np.asarray(vec, dtype=np.float64)
-        if arr.shape != (self._dim,):
-            raise ValueError(f"expected a vector of dimension {self._dim}, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("feature components must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        return arr
+    def _commit(self, nodes: list[int], values, step: int) -> None:
+        """Write ``values[k]`` for ``nodes[k]``, checked once for the whole batch.
 
-    def _insert(self, node: int, vec, step: int) -> None:
-        node = int(node)
-        if node in self._values:
-            raise ValueError(f"features for node {node} already set; entries are write-once")
-        self._values[node] = self._coerce(vec)
-        self._steps[node] = step
+        The rows are stored as read-only views of one private copy.
+        """
+        values = np.array(values, dtype=np.float64)
+        if values.shape != (len(nodes), self._dim):
+            raise ValueError(
+                f"expected {len(nodes)} vector(s) of dimension {self._dim}, "
+                f"got shape {values.shape}"
+            )
+        if np.count_nonzero(np.isfinite(values)) != values.size:
+            raise ValueError("feature components must be finite")
+        if len(set(nodes)) != len(nodes):
+            raise ValueError("a batch of features lists a node more than once")
+        taken = [v for v in nodes if v in self._values]
+        if taken:
+            raise ValueError(f"features for node {taken[0]} already set; entries are write-once")
+        values.setflags(write=False)
+        for node, row in zip(nodes, values):
+            self._values[node] = row
+            self._steps[node] = step
 
     def set_known(self, node: int, vec) -> None:
-        self._insert(node, vec, KNOWN)
+        self._commit([int(node)], [vec], KNOWN)
 
     def set_estimated(self, node: int, vec, step: int) -> None:
+        self.set_estimated_many([node], [vec], step)
+
+    def set_estimated_many(self, nodes, values, step: int) -> None:
+        """Batched :meth:`set_estimated`: row k of ``values`` is the estimate of nodes[k].
+
+        The batch is all or nothing: one bad vector or one node that already
+        has features rejects every row.
+        """
         if step < 0:
             raise ValueError("estimation step must be >= 0")
-        self._insert(node, vec, int(step))
+        self._commit(np.asarray(nodes, dtype=np.int64).tolist(), values, int(step))
 
     def get(self, node: int) -> np.ndarray:
         try:
@@ -122,10 +136,11 @@ class FeatureStore:
     def features_of(self, nodes) -> np.ndarray:
         """Stack features for a node array into a (k, N) matrix."""
         nodes = as_node_array(nodes)
-        out = np.empty((nodes.size, self._dim), dtype=np.float64)
-        for i, v in enumerate(nodes.tolist()):
-            out[i] = self.get(v)
-        return out
+        try:
+            rows = [self._values[v] for v in nodes.tolist()]
+        except KeyError as exc:
+            raise KeyError(f"no features for node {exc.args[0]}") from None
+        return np.array(rows, dtype=np.float64).reshape(nodes.size, self._dim)
 
     def subset(self, nodes) -> "FeatureStore":
         """Copy of the entries for ``nodes`` (all must be present)."""
@@ -181,31 +196,31 @@ def incoherence(nodes, store: FeatureStore, p=2.0) -> float:
     nodes = as_node_array(nodes)
     if nodes.size == 0:
         raise ValueError("incoherence of an empty node set is undefined")
-    feats = store.features_of(nodes)
-    diffs = feats - feats.mean(axis=0)
-    dists = np.linalg.norm(diffs, ord=p, axis=1)
-    return float(np.sqrt(np.mean(dists**2)))
+    inc, _ = _group_stats(store.features_of(nodes), np.array([0, nodes.size]), p)
+    return float(inc[0])
 
 
 def _group_stats(member_values: np.ndarray, bounds: np.ndarray, p: float):
     """Incoherence and centroid of each contiguous row group.
 
     Group k occupies member_values[bounds[k]:bounds[k+1]]; every group must
-    be nonempty.
+    be nonempty. Each group is centred on its first member before summing,
+    so a group of identical vectors has a centroid equal to them and an
+    incoherence of exactly 0, however far from the origin it lies.
     """
     counts = np.diff(bounds)
     if not (counts > 0).all():
         raise AssertionError("empty feature group")
     starts = bounds[:-1]
-    sums = np.add.reduceat(member_values, starts, axis=0)
-    centroids = sums / counts[:, None]
-    diffs = member_values - np.repeat(centroids, counts, axis=0)
+    shifted = member_values - np.repeat(member_values[starts], counts, axis=0)
+    offsets = np.add.reduceat(shifted, starts, axis=0) / counts[:, None]
+    diffs = shifted - np.repeat(offsets, counts, axis=0)
     if p == 2.0:
         sq = np.einsum("ij,ij->i", diffs, diffs)
     else:
         sq = np.sum(np.abs(diffs) ** p, axis=1) ** (2.0 / p)
     mean_sq = np.add.reduceat(sq, starts) / counts
-    return np.sqrt(mean_sq), centroids
+    return np.sqrt(mean_sq), member_values[starts] + offsets
 
 
 def _validate_epsilon(epsilon) -> float:

@@ -201,11 +201,31 @@ class DirectedGraph:
 
     def neighborhood(self, nodes, direction: Direction) -> np.ndarray:
         """Union of ``neighbors(v, direction)`` over a node set (may overlap it)."""
-        nodes = as_node_array(nodes, self._n)
-        if nodes.size == 0:
-            return np.empty(0, dtype=np.int64)
-        parts = [self.neighbors(int(v), direction) for v in nodes]
-        return np.unique(np.concatenate(parts))
+        flat, _ = self._gather(as_node_array(nodes, self._n), direction)
+        seen = np.zeros(self._n, dtype=bool)  # a mask, not a sort: hub lists repeat a lot
+        seen[flat] = True
+        return np.flatnonzero(seen)
+
+    def _gather(self, nodes: np.ndarray, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
+        """Concatenated neighbor lists of ``nodes`` (in order, repeats allowed).
+
+        Returns ``(flat, bounds)`` where the list of nodes[k] occupies
+        ``flat[bounds[k]:bounds[k+1]]``.
+        """
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= self._n):
+            bad = nodes.min() if nodes.min() < 0 else nodes.max()
+            raise UnknownNodeError(f"node id {bad} outside 0..{self._n - 1}")
+        if direction is Direction.UP:
+            indptr, indices = self._fwd_indptr, self._fwd_indices
+        else:
+            indptr, indices = self._rev_indptr, self._rev_indices
+        starts = indptr[nodes]
+        counts = indptr[nodes + 1] - starts
+        bounds = np.zeros(nodes.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        # output slot j of group k reads indices[starts[k] + (j - bounds[k])]
+        offsets = np.repeat(starts - bounds[:-1], counts)
+        return indices[np.arange(bounds[-1]) + offsets], bounds
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u, Direction.UP)
@@ -243,17 +263,11 @@ def grouped_restricted_neighbors(
     Returns ``(flat, bounds)`` where group k for nodes[k] occupies
     ``flat[bounds[k]:bounds[k+1]]``.
     """
-    parts = []
-    sizes = np.empty(len(nodes), dtype=np.int64)
-    for k, v in enumerate(nodes):
-        nb = g.neighbors(int(v), direction)
-        sel = nb[allowed[nb]]
-        parts.append(sel)
-        sizes[k] = sel.size
-    flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    bounds = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=bounds[1:])
-    return flat, bounds
+    flat, bounds = g._gather(np.asarray(nodes, dtype=np.int64), direction)
+    keep = allowed[flat]
+    kept_before = np.zeros(flat.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    return flat[keep], kept_before[bounds]
 
 
 def _iter_lines(source) -> Iterator[str]:

@@ -62,10 +62,12 @@ class PropagationState:
 
     def check_invariants(self) -> None:
         f, x = self.featured, self.excluded
-        assert f.size and np.all(np.diff(f) > 0), "featured set must be sorted unique and nonempty"
-        assert x.size == 0 or np.all(np.diff(x) > 0), "excluded set must be sorted unique"
-        assert np.intersect1d(f, x, assume_unique=True).size == 0, \
-            "featured and excluded sets must be disjoint"
+        if not (f.size and np.all(np.diff(f) > 0)):
+            raise AssertionError("featured set must be sorted unique and nonempty")
+        if not (x.size == 0 or np.all(np.diff(x) > 0)):
+            raise AssertionError("excluded set must be sorted unique")
+        if np.intersect1d(f, x, assume_unique=True).size:
+            raise AssertionError("featured and excluded sets must be disjoint")
 
 
 @dataclass(frozen=True)
@@ -153,8 +155,7 @@ def step_method_a(
     added = cand[fresh & ok]
     rejected = cand[fresh & ~ok]
 
-    for v, vec in zip(added.tolist(), centers[fresh & ok]):
-        store.set_estimated(v, vec, state.step)
+    store.set_estimated_many(added, centers[fresh & ok], state.step)
     return added, rejected, _advance(state, added, rejected)
 
 

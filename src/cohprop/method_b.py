@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .features import FeatureStore, _group_stats, validate_norm_order
 from .graph import (
@@ -95,6 +96,21 @@ def compute_pivots(
     return PivotSet(cand[keep], centers[keep], state.step), rejected
 
 
+def _incidence(g: DirectedGraph, rows: np.ndarray, cols: np.ndarray,
+               direction: Direction) -> sparse.csr_array:
+    """0/1 incidence of ``rows`` against the sorted node array ``cols``.
+
+    Row k marks the positions in ``cols`` of the neighbors of rows[k] in
+    ``direction``; it is row rows[k] of that direction's CSR, keeping only
+    the ``cols`` columns.
+    """
+    flat, bounds = grouped_restricted_neighbors(g, rows, node_mask(cols, g.node_count), direction)
+    data = np.ones(flat.size, dtype=bool)
+    return sparse.csr_array(
+        (data, np.searchsorted(cols, flat), bounds), shape=(rows.size, cols.size)
+    )
+
+
 def co_neighbors(g: DirectedGraph, v: int, pivots, members, direction: Direction) -> np.ndarray:
     """Featured nodes reachable from ``v`` through shared pivots.
 
@@ -105,21 +121,9 @@ def co_neighbors(g: DirectedGraph, v: int, pivots, members, direction: Direction
     """
     pnodes = pivots.nodes if isinstance(pivots, PivotSet) else as_node_array(pivots, g.node_count)
     members = as_node_array(members, g.node_count)
-    shared = np.intersect1d(g.neighbors(v, direction), pnodes, assume_unique=True)
-    if shared.size == 0:
-        return _EMPTY
-    pooled = np.unique(
-        np.concatenate([g.neighbors(int(pv), direction.opposite) for pv in shared])
-    )
-    return np.intersect1d(pooled, members, assume_unique=True)
-
-
-def _pool(g: DirectedGraph, shared_pivots: np.ndarray, featured_mask: np.ndarray,
-          direction: Direction) -> np.ndarray:
-    pooled = np.unique(
-        np.concatenate([g.neighbors(int(pv), direction.opposite) for pv in shared_pivots])
-    )
-    return pooled[featured_mask[pooled]]
+    C = _incidence(g, np.array([v], dtype=np.int64), pnodes, direction)
+    pattern = C @ _incidence(g, pnodes, members, direction.opposite)
+    return members[np.sort(pattern.indices)]
 
 
 def step_method_b(
@@ -133,8 +137,16 @@ def step_method_b(
 
     The excluded delta comes from the pivot gate only: candidates that fail
     the candidate coherence test are simply skipped and may qualify at a
-    later step. Every accepted candidate has a nonempty co-neighbor set by
-    construction.
+    later step.
+
+    The step is sparse linear algebra over two incidences: C, fresh
+    candidate x pivot, and B, pivot x featured node. Row k of the 0/1
+    pattern of C @ B is the co-neighbor set of candidate k, and the
+    product of that pattern with the featured nodes' features gives the
+    co-neighbor sums without materialising one vector per member. Every
+    fresh candidate has a pivot (it was reached through one), and every
+    pivot has a featured back-connection (it passed the gate on one), so
+    every co-neighbor set is nonempty.
     """
     p = validate_norm_order(p)
     if candidate_test not in CANDIDATE_TESTS:
@@ -155,45 +167,22 @@ def step_method_b(
     if fresh.size == 0:
         return _EMPTY, rejected, _advance(state, _EMPTY, rejected, pivots=len(pivots))
 
-    pivot_mask = node_mask(pivots.nodes, n)
-    # positions (into pivots.nodes) of each candidate's pivots
-    shared: list[np.ndarray] = []
-    for v in fresh.tolist():
-        own = g.neighbors(v, d)
-        sel = own[pivot_mask[own]]
-        assert sel.size > 0, "candidate without pivots cannot be reachable"
-        shared.append(sel)
-
+    C = _incidence(g, fresh, pivots.nodes, d)
+    B = _incidence(g, pivots.nodes, V, d.opposite)
     feats = store.features_of(V)
-    positions = np.searchsorted(V, np.arange(n))  # id -> row in feats, valid on V only
-
     if candidate_test == "pivot-features":
-        flat = np.concatenate(shared)
-        bounds = np.zeros(len(shared) + 1, dtype=np.int64)
-        np.cumsum([s.size for s in shared], out=bounds[1:])
-        rows = np.searchsorted(pivots.nodes, flat)
-        inc, _ = _group_stats(pivots.features[rows], bounds, p)
+        inc, _ = _group_stats(pivots.features[C.indices], C.indptr, p)
         ok = inc <= state.epsilon
-        pools = {
-            int(v): _pool(g, shared[i], featured_mask, d)
-            for i, (v, keep) in enumerate(zip(fresh.tolist(), ok)) if keep
-        }
+        pattern = C[ok] @ B
     else:
-        pools = {}
-        ok = np.zeros(fresh.size, dtype=bool)
-        for i, v in enumerate(fresh.tolist()):
-            pool = _pool(g, shared[i], featured_mask, d)
-            assert pool.size > 0, "co-neighbor set cannot be empty"
-            pool_inc, _ = _group_stats(feats[positions[pool]], np.array([0, pool.size]), p)
-            if pool_inc[0] <= state.epsilon:
-                ok[i] = True
-                pools[int(v)] = pool
+        pattern = C @ B
+        inc, _ = _group_stats(feats[pattern.indices], pattern.indptr, p)
+        ok = inc <= state.epsilon
+        pattern = pattern[ok]
 
     added = fresh[ok]
-    for v in added.tolist():
-        pool = pools[v]
-        assert pool.size > 0, "co-neighbor set cannot be empty"
-        store.set_estimated(v, feats[positions[pool]].mean(axis=0), state.step)
+    estimates = (pattern @ feats) / np.diff(pattern.indptr)[:, None]
+    store.set_estimated_many(added, estimates, state.step)
     return added, rejected, _advance(state, added, rejected, pivots=len(pivots))
 
 

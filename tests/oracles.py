@@ -131,3 +131,64 @@ def enum_co_neighbors(sg, v, pivots, members, direction):
     for pv in sg.neighbors(v, direction) & set(pivots):
         pooled |= sg.neighbors(pv, direction.opposite)
     return pooled & set(members)
+
+
+def naive_coherent(vectors, p, epsilon):
+    """The coherence test, measured from the first member.
+
+    Incoherence is translation invariant. Shifting by the first member
+    makes a set of identical vectors exactly 0, as the definition says;
+    the sum-over-count centroid of naive_incoherence can leave a rounding
+    residue there, which decides the test at epsilon = 0.
+    """
+    first = vectors[0]
+    return naive_incoherence([[x - y for x, y in zip(v, first)] for v in vectors], p) <= epsilon
+
+
+def naive_step_method_a(sg, features, featured, excluded, direction, epsilon, p):
+    """One method-A step by set enumeration: (added, rejected, estimates)."""
+    featured, excluded = set(featured), set(excluded)
+    added, rejected, estimates = set(), set(), {}
+    for u in sg.neighborhood(featured, direction) - featured - excluded:
+        vecs = [features[v] for v in sorted(sg.neighbors(u, direction.opposite) & featured)]
+        if naive_coherent(vecs, p, epsilon):
+            added.add(u)
+            estimates[u] = naive_centroid(vecs)
+        else:
+            rejected.add(u)
+    return added, rejected, estimates
+
+
+def naive_step_method_b(sg, features, featured, excluded, direction, epsilon, p,
+                        candidate_test="pivot-features"):
+    """One method-B step by set enumeration: (added, rejected, estimates).
+
+    Pivots are the gated neighbors of the featured set that are not
+    blacklisted, with the mean of their back-connections as provisional
+    feature; failed fresh neighbors are blacklisted. A fresh candidate
+    behind the pivots is accepted when its pivots' provisional features
+    (or, for ``candidate_test="co-neighbors"``, its co-neighbors' features)
+    are coherent, and is estimated as the mean of its co-neighbors.
+    """
+    featured, excluded = set(featured), set(excluded)
+    opposite = direction.opposite
+    pivots, rejected = {}, set()
+    for u in sg.neighborhood(featured, direction):
+        vecs = [features[v] for v in sorted(sg.neighbors(u, opposite) & featured)]
+        if naive_coherent(vecs, p, epsilon):
+            if u not in excluded:
+                pivots[u] = naive_centroid(vecs)
+        elif u not in excluded and u not in featured:
+            rejected.add(u)
+    added, estimates = set(), {}
+    for c in sg.neighborhood(pivots, opposite) - featured - excluded - rejected:
+        pool = enum_co_neighbors(sg, c, pivots, featured, direction)
+        pooled = [features[v] for v in sorted(pool)]
+        if candidate_test == "pivot-features":
+            tested = [pivots[pv] for pv in sorted(sg.neighbors(c, direction) & set(pivots))]
+        else:
+            tested = pooled
+        if naive_coherent(tested, p, epsilon):
+            added.add(c)
+            estimates[c] = naive_centroid(pooled)
+    return added, rejected, estimates

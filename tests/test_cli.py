@@ -197,12 +197,3 @@ class TestConfigAndEnv:
                    "--out-labels", "labels.csv"])
         assert rc == 0
         assert (target / "labels.csv").exists()
-
-    def test_env_threads_recorded(self, workspace, monkeypatch):
-        out = workspace / "thr"
-        monkeypatch.setenv("COHPROP_THREADS", "3")
-        rc = main(["ingest", "--graph", str(workspace / "edges.csv"),
-                   "--out-labels", "labels.csv", "--out-dir", str(out)])
-        assert rc == 0
-        manifest = json.loads((out / "manifest_ingest.json").read_text())
-        assert manifest["parameters"]["threads"] == 3

@@ -50,6 +50,13 @@ class TestSpatialUniformSample:
         picked = spatial_uniform_sample(store, range(10), 10, grid_bins=4, seed=0)
         assert picked.tolist() == list(range(10))
 
+    def test_high_dimension(self, rng):
+        # 20 bins over 16 axes is more cells than an int64 can number
+        store = store_from(rng.normal(size=(300, 16)))
+        picked = spatial_uniform_sample(store, range(300), 40, seed=3)
+        assert picked.size == 40 and np.all(np.diff(picked) > 0)
+        assert picked.tolist() == spatial_uniform_sample(store, range(300), 40, seed=3).tolist()
+
     def test_oversample_rejected(self):
         store, *_ = two_cluster_store(4, 2)
         with pytest.raises(ValueError):

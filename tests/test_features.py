@@ -52,6 +52,29 @@ class TestFeatureStore:
         with pytest.raises(ValueError):
             store.set_known(0, [1.0, float("nan")])
 
+    def test_batch_is_all_or_nothing(self):
+        store = FeatureStore(2)
+        store.set_known(3, [1.0, 2.0])
+        for nodes, values in [
+            ([1, 3], [[0.0, 0.0], [0.0, 0.0]]),  # 3 is taken
+            ([1, 1], [[0.0, 0.0], [0.0, 0.0]]),  # 1 twice
+            ([1, 2], [[0.0, 0.0], [0.0, float("inf")]]),
+            ([1, 2], [[0.0, 0.0]]),
+        ]:
+            with pytest.raises(ValueError):
+                store.set_estimated_many(nodes, values, step=0)
+            assert store.nodes().tolist() == [3]
+
+    def test_batch_rows_are_read_only_copies(self):
+        store = FeatureStore(2)
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        store.set_estimated_many(np.array([5, 2]), values, step=1)
+        values[:] = 0.0
+        assert store.get(5).tolist() == [1.0, 2.0] and store.get(2).tolist() == [3.0, 4.0]
+        assert store.provenance_label(2) == "estimated:1"
+        with pytest.raises(ValueError):
+            store.get(5)[0] = 9.0
+
     def test_subset_requires_presence(self):
         store = store_from([[0.0], [1.0]])
         sub = store.subset([1])
@@ -142,6 +165,21 @@ class TestIncoherence:
     def test_coincident_points(self):
         store = store_from([[1.5], [1.5], [1.5]])
         assert incoherence([0, 1, 2], store) == 0.0
+
+    @pytest.mark.parametrize("vec,k", [
+        ([0.1], 3),
+        ([541685.6286918868, 0.0], 6),
+        ([699051.097, 0.0], 3),
+    ])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_identical_members_exactly_zero(self, vec, k, p):
+        assert incoherence(range(k), store_from([vec] * k), p=p) == 0.0
+
+    def test_random_identical_groups_exactly_zero(self, rng):
+        for _ in range(2000):
+            k = int(rng.integers(2, 9))
+            vec = rng.normal(size=int(rng.integers(1, 4))) * 10.0 ** rng.integers(-3, 7)
+            assert incoherence(range(k), store_from([vec] * k)) == 0.0
 
     def test_matches_naive(self, rng):
         for _ in range(50):

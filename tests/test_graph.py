@@ -8,9 +8,11 @@ from cohprop.graph import (
     Direction,
     EdgeListParseError,
     UnknownNodeError,
+    grouped_restricted_neighbors,
     load_edge_list,
+    node_mask,
 )
-from oracles import naive_neighborhood, random_graph
+from oracles import naive_neighborhood, naive_neighbors, random_graph
 
 
 def ids(g, labels):
@@ -124,6 +126,28 @@ class TestInvariants:
             nodes = rng.choice(n, size=min(n, 7), replace=False)
             for d in Direction:
                 assert set(g.neighborhood(nodes, d)) == naive_neighborhood(edges, set(nodes.tolist()), d)
+
+    def test_grouped_restricted_matches_naive(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(5, 40))
+            g, edges = random_graph(rng, n, 3 * n)
+            nodes = rng.integers(0, n, size=int(rng.integers(0, 12)))  # repeats allowed
+            allowed = set(rng.choice(n, size=n // 2, replace=False).tolist())
+            for d in Direction:
+                flat, bounds = grouped_restricted_neighbors(g, nodes, node_mask(list(allowed), n), d)
+                assert bounds.size == nodes.size + 1
+                for k, v in enumerate(nodes.tolist()):
+                    want = sorted(naive_neighbors(edges, v, d) & allowed)
+                    assert flat[bounds[k]:bounds[k + 1]].tolist() == want
+
+    def test_gathers_reject_unknown_nodes(self):
+        g = load_edge_list(b"a,b\n")
+        allowed = np.ones(2, dtype=bool)
+        for bad in ([0, 2], [-1]):
+            with pytest.raises(UnknownNodeError):
+                g.neighborhood(bad, Direction.UP)
+            with pytest.raises(UnknownNodeError):
+                grouped_restricted_neighbors(g, np.array(bad), allowed, Direction.DOWN)
 
     def test_neighbor_lists_sorted(self, rng):
         g, _ = random_graph(rng, 50, 400)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay
 
-from cohprop.features import FeatureStore
+from cohprop.features import FeatureStore, coherent_neighborhood
 from cohprop.graph import DirectedGraph, Direction
 from cohprop.method_a import init_state
 from cohprop.method_b import (
@@ -123,6 +123,18 @@ class TestStep:
         state2 = init_state(store2, [0, 1, 2, 3], Direction.UP, 0.5)
         added2, _, _ = step_method_b(state2, g, store2, candidate_test="co-neighbors")
         assert added2.size == 0
+
+    @pytest.mark.parametrize("vec,k", [([0.1], 3), ([541685.6286918868, 0.0], 6)])
+    @pytest.mark.parametrize("candidate_test", ["pivot-features", "co-neighbors"])
+    def test_identical_members_pass_at_zero_threshold(self, vec, k, candidate_test):
+        # k featured nodes with one feature all follow pivot k, as does k + 1
+        g = DirectedGraph.from_edges([(v, k) for v in range(k + 2) if v != k], node_count=k + 2)
+        store = store_from([vec] * k)
+        assert coherent_neighborhood(g, store, range(k), Direction.UP, 0.0).tolist() == [k]
+        state = init_state(store, range(k), Direction.UP, 0.0)
+        added, rejected, _ = step_method_b(state, g, store, candidate_test=candidate_test)
+        assert added.tolist() == [k + 1] and rejected.size == 0
+        assert store.get(k + 1) == pytest.approx(vec, rel=1e-15)
 
     def test_unknown_candidate_test_rejected(self):
         store = store_from([[0.0], [0.2]])

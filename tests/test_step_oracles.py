@@ -1,0 +1,80 @@
+"""Whole propagation steps against the set-enumeration oracles.
+
+Random small graphs with isolated nodes, seeds of any size, feature
+dimensions 1, 2 and 16, both directions, several norm orders and
+thresholds including 0. Quantised features make identical members (and so
+incoherence exactly 0) common. Each case runs up to three steps so that
+blacklisted and freshly estimated nodes feed the later steps.
+"""
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cohprop.features import FeatureStore
+from cohprop.graph import DirectedGraph, Direction
+from cohprop.method_a import init_state, step_method_a
+from cohprop.method_b import step_method_b
+from oracles import SetGraph, naive_step_method_a, naive_step_method_b
+
+STEPS = 3
+
+instances = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n": st.integers(2, 30),
+    "density": st.sampled_from([0.0, 0.5, 1.5, 3.0]),
+    "dim": st.sampled_from([1, 2, 16]),
+    "quantised": st.booleans(),
+    "p": st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    "epsilon": st.sampled_from([0.0, 0.37, 0.91, 2.3]),
+    "direction": st.sampled_from(list(Direction)),
+})
+
+
+def build(inst):
+    """Graph (two trailing isolated nodes), its set form, features and a seed."""
+    rng = np.random.default_rng(inst["seed"])
+    n = inst["n"]
+    pairs = rng.integers(0, n, size=(int(inst["density"] * n), 2))
+    edges = sorted({(int(u), int(v)) for u, v in pairs if u != v})
+    g = DirectedGraph.from_edges(np.array(edges, dtype=np.int64).reshape(-1, 2), node_count=n + 2)
+    if inst["quantised"]:
+        feats = 0.5 * rng.integers(0, 3, size=(n + 2, inst["dim"]))
+    else:
+        feats = rng.normal(size=(n + 2, inst["dim"]))
+    seed = np.sort(rng.choice(n + 2, size=int(rng.integers(1, n + 3)), replace=False))
+    return g, SetGraph(edges, n + 2), feats, seed
+
+
+def check_steps(inst, step, naive, **options):
+    g, sg, feats, seed = build(inst)
+    d, eps, p = inst["direction"], inst["epsilon"], inst["p"]
+    store = FeatureStore(inst["dim"])
+    for v in seed.tolist():
+        store.set_known(v, feats[v])
+    known = {v: feats[v].tolist() for v in seed.tolist()}
+    featured, excluded = set(known), set()
+    state = init_state(store, seed, d, eps)
+    for _ in range(STEPS):
+        want_added, want_rejected, want_est = naive(
+            sg, known, featured, excluded, d, eps, p, **options
+        )
+        added, rejected, state = step(state, g, store, p=p, **options)
+        assert set(added.tolist()) == want_added
+        assert set(rejected.tolist()) == want_rejected
+        for v, est in want_est.items():
+            np.testing.assert_allclose(store.get(v), est, rtol=0, atol=1e-12)
+        known.update(want_est)
+        featured |= want_added
+        excluded |= want_rejected
+        if not (want_added or want_rejected):
+            break
+
+
+@given(instances)
+def test_method_a_step_matches_oracle(inst):
+    check_steps(inst, step_method_a, naive_step_method_a)
+
+
+@given(instances, st.sampled_from(["pivot-features", "co-neighbors"]))
+def test_method_b_step_matches_oracle(inst, candidate_test):
+    check_steps(inst, step_method_b, naive_step_method_b, candidate_test=candidate_test)
