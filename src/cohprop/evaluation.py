@@ -16,11 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .features import (
-    FeatureStore,
-    estimation_error,
-    validate_norm_order,
-)
+from .features import FeatureStore, mean_error, validate_norm_order
 from .graph import DirectedGraph, Direction, as_node_array
 from .method_a import init_state, step_method_a
 from .method_b import step_method_b
@@ -164,8 +160,8 @@ def spatial_uniform_sample(
     return np.array(sorted(picked), dtype=np.int64)
 
 
-def _error_stats(errors: np.ndarray | None) -> dict[str, Optional[float]]:
-    if errors is None or errors.size == 0:
+def _error_stats(errors: np.ndarray) -> dict[str, Optional[float]]:
+    if errors.size == 0:
         return {stat: None for stat in _STATS}
     return {stat: float(_STAT_FN[stat](errors)) for stat in _STATS}
 
@@ -200,11 +196,9 @@ def sweep_method_a(
         working = truth.subset(seed_arr)
         state = init_state(working, seed_arr, direction, eps)
         added, _, _ = step_method_a(state, g, working, p=p)
-        scored = [v for v in added.tolist() if v in truth]
-        errors = (
-            np.array([estimation_error(working.get(v), truth.get(v), p) for v in scored])
-            if scored
-            else None
+        scored = np.array([v for v in added.tolist() if v in truth], dtype=np.int64)
+        errors = np.linalg.norm(
+            working.features_of(scored) - truth.features_of(scored), ord=p, axis=1
         )
         for stat, value in _error_stats(errors).items():
             report.rows.append(
@@ -278,18 +272,7 @@ def kfold_eval_method_b(
             recovered = np.intersect1d(fold, added, assume_unique=True)
             pivots = state.history[-1].pivots
             coverage = recovered.size / fold.size
-            err = (
-                float(
-                    np.mean(
-                        [
-                            estimation_error(working.get(v), truth.get(v), p)
-                            for v in recovered.tolist()
-                        ]
-                    )
-                )
-                if recovered.size
-                else None
-            )
+            err = mean_error(recovered, working, truth, p) if recovered.size else None
             report.rows.append(
                 ReportRow(
                     epsilon=float(eps),

@@ -7,7 +7,10 @@ feature and never re-estimates a node.
 
 The metric layer provides the distance between an estimate and a reference
 vector, set centroids, set incoherence (root mean squared p-norm distance
-to the centroid), and coherence-gated neighborhoods.
+to the centroid), and coherence-gated neighborhoods. The coherence gate is
+one private function, ``_gate``, shared by :func:`coherent_neighborhood`
+and by methods A and B: it measures every neighbor of a featured set on
+its row of :func:`cohprop.graph.incidence` against that set.
 """
 from __future__ import annotations
 
@@ -17,13 +20,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .graph import (
-    DirectedGraph,
-    Direction,
-    as_node_array,
-    grouped_restricted_neighbors,
-    node_mask,
-)
+from .graph import DirectedGraph, Direction, as_node_array, incidence
+from .graph import grouped_restricted_neighbors  # noqa: F401  (perfbench/spans.py wraps it here)
 
 __all__ = [
     "KNOWN",
@@ -230,10 +228,19 @@ def _validate_epsilon(epsilon) -> float:
     return epsilon
 
 
-def _require_features(store: FeatureStore, nodes: np.ndarray) -> None:
-    for v in nodes.tolist():
-        if v not in store:
-            raise KeyError(f"no features for node {v}")
+def _gate(g: DirectedGraph, store: FeatureStore, V: np.ndarray, direction: Direction, p: float):
+    """The coherence gate: ``(cand, inc, centers)`` for the sorted featured set V.
+
+    ``cand`` is ``g.neighborhood(V, direction)``. Entry k of ``inc`` and
+    ``centers`` is the incoherence and centroid of cand[k]'s back-connections
+    into V, its row of the opposite-direction incidence against V. That row
+    is nonempty because cand[k] was reached from V. Callers apply their own
+    rule to the result; every node of V needs features (``KeyError``).
+    """
+    cand = g.neighborhood(V, direction)
+    M = incidence(g, cand, V, direction.opposite)
+    inc, centers = _group_stats(store.features_of(V)[M.indices], M.indptr, p)
+    return cand, inc, centers
 
 
 def coherent_neighborhood(
@@ -254,15 +261,7 @@ def coherent_neighborhood(
     """
     p = validate_norm_order(p)
     epsilon = _validate_epsilon(epsilon)
-    V = as_node_array(nodes, g.node_count)
-    _require_features(store, V)
-    cand = g.neighborhood(V, direction)
-    if cand.size == 0:
-        return cand
-    allowed = node_mask(V, g.node_count)
-    flat, bounds = grouped_restricted_neighbors(g, cand, allowed, direction.opposite)
-    feats = store.features_of(V)
-    inc, _ = _group_stats(feats[np.searchsorted(V, flat)], bounds, p)
+    cand, inc, _ = _gate(g, store, as_node_array(nodes, g.node_count), direction, p)
     return cand[inc <= epsilon]
 
 

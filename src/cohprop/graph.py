@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
+from scipy import sparse
 
 logger = logging.getLogger(__name__)
 
@@ -26,6 +27,7 @@ __all__ = [
     "load_edge_list",
     "as_node_array",
     "node_mask",
+    "incidence",
 ]
 
 
@@ -268,6 +270,22 @@ def grouped_restricted_neighbors(
     kept_before = np.zeros(flat.size + 1, dtype=np.int64)
     np.cumsum(keep, out=kept_before[1:])
     return flat[keep], kept_before[bounds]
+
+
+def incidence(
+    g: DirectedGraph, rows, cols: np.ndarray, direction: Direction
+) -> sparse.csr_array:
+    """0/1 incidence of ``rows`` against the sorted node array ``cols``.
+
+    Row k marks the positions in ``cols`` of the neighbors of rows[k] in
+    ``direction``, in increasing order: it is row rows[k] of that
+    direction's CSR, keeping only the ``cols`` columns. Rows may repeat.
+    """
+    flat, bounds = grouped_restricted_neighbors(g, rows, node_mask(cols, g.node_count), direction)
+    return sparse.csr_array(
+        (np.ones(flat.size, dtype=bool), np.searchsorted(cols, flat), bounds),
+        shape=(bounds.size - 1, cols.size),
+    )
 
 
 def _iter_lines(source) -> Iterator[str]:

@@ -14,14 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .features import FeatureStore, _group_stats, validate_norm_order, _validate_epsilon
-from .graph import (
-    DirectedGraph,
-    Direction,
-    as_node_array,
-    grouped_restricted_neighbors,
-    node_mask,
-)
+from .features import FeatureStore, _gate, validate_norm_order, _validate_epsilon
+from .graph import DirectedGraph, Direction, as_node_array, node_mask
+from .graph import grouped_restricted_neighbors  # noqa: F401  (perfbench/spans.py wraps it here)
 
 __all__ = [
     "StepRecord",
@@ -137,26 +132,27 @@ def step_method_a(
     empty deltas.
     """
     p = validate_norm_order(p)
-    V = state.featured
-    cand = g.neighborhood(V, state.direction)
-    if cand.size == 0:
-        return _EMPTY, _EMPTY, _advance(state, _EMPTY, _EMPTY)
-
-    featured_mask = node_mask(V, g.node_count)
-    excluded_mask = node_mask(state.excluded, g.node_count)
-    flat, bounds = grouped_restricted_neighbors(
-        g, cand, featured_mask, state.direction.opposite
-    )
-    feats = store.features_of(V)
-    inc, centers = _group_stats(feats[np.searchsorted(V, flat)], bounds, p)
-
-    fresh = ~featured_mask[cand] & ~excluded_mask[cand]
+    cand, inc, centers = _gate(g, store, state.featured, state.direction, p)
+    fresh = ~node_mask(np.concatenate((state.featured, state.excluded)), g.node_count)[cand]
     ok = inc <= state.epsilon
     added = cand[fresh & ok]
     rejected = cand[fresh & ~ok]
 
     store.set_estimated_many(added, centers[fresh & ok], state.step)
     return added, rejected, _advance(state, added, rejected)
+
+
+def _run(step, store: FeatureStore, seed, direction: Direction, epsilon,
+         max_steps: int) -> PropagationResult:
+    """Call ``step(state)`` until a step adds and excludes nothing or the budget runs out."""
+    if int(max_steps) < 1:
+        raise ValueError("max_steps must be >= 1")
+    state = init_state(store, seed, direction, epsilon)
+    for _ in range(int(max_steps)):
+        added, rejected, state = step(state)
+        if added.size == 0 and rejected.size == 0:
+            break
+    return PropagationResult(state=state, store=store)
 
 
 def run_method_a(
@@ -169,11 +165,5 @@ def run_method_a(
     p=2.0,
 ) -> PropagationResult:
     """Iterate method A until a fixed point or the step budget runs out."""
-    if int(max_steps) < 1:
-        raise ValueError("max_steps must be >= 1")
-    state = init_state(store, seed, direction, epsilon)
-    for _ in range(int(max_steps)):
-        added, rejected, state = step_method_a(state, g, store, p=p)
-        if added.size == 0 and rejected.size == 0:
-            break
-    return PropagationResult(state=state, store=store)
+    return _run(lambda state: step_method_a(state, g, store, p=p),
+                store, seed, direction, epsilon, max_steps)

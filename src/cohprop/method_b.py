@@ -12,28 +12,21 @@ their back-connections into the featured set, i.e. the method-A estimator
 applied without persisting anything. The candidate coherence test runs on
 those provisional features by default; ``candidate_test="co-neighbors"``
 switches it to the incoherence of the candidate's co-neighbor set instead.
+
+The pivot gate is the coherence gate of :mod:`cohprop.features`, the one
+that method A and ``coherent_neighborhood`` use too. The rest of the step
+is products of :func:`cohprop.graph.incidence` matrices.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .features import FeatureStore, _group_stats, validate_norm_order
-from .graph import (
-    DirectedGraph,
-    Direction,
-    as_node_array,
-    grouped_restricted_neighbors,
-    node_mask,
-)
-from .method_a import (
-    PropagationResult,
-    PropagationState,
-    _advance,
-    init_state,
-)
+from .features import FeatureStore, _gate, _group_stats, validate_norm_order
+from .graph import DirectedGraph, Direction, as_node_array, incidence, node_mask
+from .graph import grouped_restricted_neighbors  # noqa: F401  (perfbench/spans.py wraps it here)
+from .method_a import PropagationResult, PropagationState, _advance, _run
 
 __all__ = [
     "PivotSet",
@@ -73,42 +66,17 @@ def compute_pivots(
 
     Returns ``(pivots, newly_excluded)``: the neighbors of the featured set
     that pass the coherence gate and are not blacklisted, each with its
-    provisional feature, plus the fresh incoherent neighbors to merge into
-    the excluded set. An empty pivot set is a normal outcome.
+    provisional feature (the gate's centroid), plus the fresh incoherent
+    neighbors to merge into the excluded set. An empty pivot set is a
+    normal outcome.
     """
     p = validate_norm_order(p)
-    V = state.featured
-    cand = g.neighborhood(V, state.direction)
-    if cand.size == 0:
-        return PivotSet(_EMPTY, np.empty((0, store.dim)), state.step), _EMPTY
-
-    featured_mask = node_mask(V, g.node_count)
-    excluded_mask = node_mask(state.excluded, g.node_count)
-    flat, bounds = grouped_restricted_neighbors(
-        g, cand, featured_mask, state.direction.opposite
-    )
-    feats = store.features_of(V)
-    inc, centers = _group_stats(feats[np.searchsorted(V, flat)], bounds, p)
-
+    cand, inc, centers = _gate(g, store, state.featured, state.direction, p)
     ok = inc <= state.epsilon
-    keep = ok & ~excluded_mask[cand]
-    rejected = cand[~ok & ~excluded_mask[cand] & ~featured_mask[cand]]
+    not_excluded = ~node_mask(state.excluded, g.node_count)[cand]
+    keep = ok & not_excluded
+    rejected = cand[~ok & not_excluded & ~node_mask(state.featured, g.node_count)[cand]]
     return PivotSet(cand[keep], centers[keep], state.step), rejected
-
-
-def _incidence(g: DirectedGraph, rows: np.ndarray, cols: np.ndarray,
-               direction: Direction) -> sparse.csr_array:
-    """0/1 incidence of ``rows`` against the sorted node array ``cols``.
-
-    Row k marks the positions in ``cols`` of the neighbors of rows[k] in
-    ``direction``; it is row rows[k] of that direction's CSR, keeping only
-    the ``cols`` columns.
-    """
-    flat, bounds = grouped_restricted_neighbors(g, rows, node_mask(cols, g.node_count), direction)
-    data = np.ones(flat.size, dtype=bool)
-    return sparse.csr_array(
-        (data, np.searchsorted(cols, flat), bounds), shape=(rows.size, cols.size)
-    )
 
 
 def co_neighbors(g: DirectedGraph, v: int, pivots, members, direction: Direction) -> np.ndarray:
@@ -121,8 +89,8 @@ def co_neighbors(g: DirectedGraph, v: int, pivots, members, direction: Direction
     """
     pnodes = pivots.nodes if isinstance(pivots, PivotSet) else as_node_array(pivots, g.node_count)
     members = as_node_array(members, g.node_count)
-    C = _incidence(g, np.array([v], dtype=np.int64), pnodes, direction)
-    pattern = C @ _incidence(g, pnodes, members, direction.opposite)
+    C = incidence(g, np.array([v], dtype=np.int64), pnodes, direction)
+    pattern = C @ incidence(g, pnodes, members, direction.opposite)
     return members[np.sort(pattern.indices)]
 
 
@@ -152,9 +120,6 @@ def step_method_b(
     if candidate_test not in CANDIDATE_TESTS:
         raise ValueError(f"candidate_test must be one of {CANDIDATE_TESTS}")
     pivots, rejected = compute_pivots(state, g, store, p=p)
-    if len(pivots) == 0:
-        return _EMPTY, rejected, _advance(state, _EMPTY, rejected, pivots=0)
-
     n = g.node_count
     V = state.featured
     featured_mask = node_mask(V, n)
@@ -167,8 +132,8 @@ def step_method_b(
     if fresh.size == 0:
         return _EMPTY, rejected, _advance(state, _EMPTY, rejected, pivots=len(pivots))
 
-    C = _incidence(g, fresh, pivots.nodes, d)
-    B = _incidence(g, pivots.nodes, V, d.opposite)
+    C = incidence(g, fresh, pivots.nodes, d)
+    B = incidence(g, pivots.nodes, V, d.opposite)
     feats = store.features_of(V)
     if candidate_test == "pivot-features":
         inc, _ = _group_stats(pivots.features[C.indices], C.indptr, p)
@@ -197,13 +162,6 @@ def run_method_b(
     candidate_test: str = "pivot-features",
 ) -> PropagationResult:
     """Iterate method B until a fixed point or the step budget runs out."""
-    if int(max_steps) < 1:
-        raise ValueError("max_steps must be >= 1")
-    state = init_state(store, seed, direction, epsilon)
-    for _ in range(int(max_steps)):
-        added, rejected, state = step_method_b(
-            state, g, store, p=p, candidate_test=candidate_test
-        )
-        if added.size == 0 and rejected.size == 0:
-            break
-    return PropagationResult(state=state, store=store)
+    # step_method_b is looked up at each call, so a wrapper installed on the module applies
+    return _run(lambda state: step_method_b(state, g, store, p=p, candidate_test=candidate_test),
+                store, seed, direction, epsilon, max_steps)

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, svds
 
 from .features import FeatureStore
-from .graph import DirectedGraph, Direction, as_node_array
+from .graph import DirectedGraph, Direction, as_node_array, incidence
 
 __all__ = [
     "BipartiteAdjacency",
@@ -69,23 +69,20 @@ class BipartiteAdjacency:
 
 
 def bipartite_from_graph(g: DirectedGraph, elites) -> BipartiteAdjacency:
-    """Follower-by-elite incidence of everyone following at least one elite."""
+    """Follower-by-elite incidence of everyone following at least one elite.
+
+    The rows of the forward CSR for those followers, keeping only the elite
+    columns; an elite that follows another elite is a follower row too.
+    """
     elites = as_node_array(elites, g.node_count)
     if elites.size == 0:
         raise ValueError("elite set is empty")
     followers = g.neighborhood(elites, Direction.DOWN)
     if followers.size == 0:
         raise ValueError("no follower of any elite in the graph")
-    col_of = {int(e): j for j, e in enumerate(elites)}
-    rows, cols = [], []
-    for i, f in enumerate(followers.tolist()):
-        for e in np.intersect1d(g.neighbors(f, Direction.UP), elites, assume_unique=True):
-            rows.append(i)
-            cols.append(col_of[int(e)])
-    matrix = sp.csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)),
-        shape=(followers.size, elites.size),
-    )
+    M = incidence(g, followers, elites, Direction.UP)
+    # built from the arrays, csr_matrix picks int32 indices where they fit
+    matrix = sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape, dtype=np.int8)
     return BipartiteAdjacency(
         matrix,
         tuple(g.label_of(int(f)) for f in followers),

@@ -9,6 +9,7 @@ from cohprop.graph import (
     EdgeListParseError,
     UnknownNodeError,
     grouped_restricted_neighbors,
+    incidence,
     load_edge_list,
     node_mask,
 )
@@ -133,12 +134,20 @@ class TestInvariants:
             g, edges = random_graph(rng, n, 3 * n)
             nodes = rng.integers(0, n, size=int(rng.integers(0, 12)))  # repeats allowed
             allowed = set(rng.choice(n, size=n // 2, replace=False).tolist())
+            cols = np.array(sorted(allowed), dtype=np.int64)
+            position = {int(c): j for j, c in enumerate(cols)}
             for d in Direction:
                 flat, bounds = grouped_restricted_neighbors(g, nodes, node_mask(list(allowed), n), d)
+                M = incidence(g, nodes, cols, d)
                 assert bounds.size == nodes.size + 1
+                assert M.shape == (nodes.size, cols.size)
                 for k, v in enumerate(nodes.tolist()):
                     want = sorted(naive_neighbors(edges, v, d) & allowed)
                     assert flat[bounds[k]:bounds[k + 1]].tolist() == want
+                    assert M.indices[M.indptr[k]:M.indptr[k + 1]].tolist() == [
+                        position[u] for u in want
+                    ]
+                assert M.data.all()
 
     def test_gathers_reject_unknown_nodes(self):
         g = load_edge_list(b"a,b\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cohprop.graph import load_edge_list
+from cohprop.graph import DirectedGraph, load_edge_list
 from cohprop.scaling import (
     BipartiteAdjacency,
     RankDeficiencyError,
@@ -11,7 +11,7 @@ from cohprop.scaling import (
     filter_bipartite,
     seed_features_from_scaling,
 )
-from oracles import dense_ca_reference
+from oracles import dense_ca_reference, random_graph
 
 
 def adjacency(array, row_prefix="f", col_prefix="e"):
@@ -181,3 +181,22 @@ class TestBipartiteFromGraph:
         assert adj.row_labels == ("a", "b")
         assert adj.col_labels == ("m1", "m2")
         assert adj.matrix.toarray().tolist() == [[1, 0], [1, 1]]
+
+    def test_matches_set_enumeration(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(8, 50))
+            _, edges = random_graph(rng, n, 3 * n)
+            elites = sorted(rng.choice(n, size=int(rng.integers(2, 6)), replace=False).tolist())
+            # an elite following an elite, and an elite (node n) that no one follows
+            edges = set(edges) | {(elites[0], elites[1])}
+            elites.append(n)
+            g = DirectedGraph.from_edges(sorted(edges), node_count=n + 1)
+            adj = bipartite_from_graph(g, elites)
+
+            followers = sorted({u for u, v in edges if v in elites})
+            assert adj.row_labels == tuple(str(u) for u in followers)
+            assert adj.col_labels == tuple(str(e) for e in elites)
+            want = [[int((u, e) in edges) for e in elites] for u in followers]
+            assert adj.matrix.toarray().tolist() == want
+            assert adj.matrix.dtype == np.int8
+            assert not adj.matrix[:, -1].nnz
