@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .features import FeatureStore, mean_error, validate_norm_order
-from .graph import DirectedGraph, Direction, as_node_array
+from .graph import DirectedGraph, Direction, as_node_array, node_mask
 from .method_a import init_state, step_method_a
 from .method_b import step_method_b
 
@@ -139,6 +139,7 @@ def spatial_uniform_sample(
     bins = int(grid_bins)
     idx = np.clip((feats - lows) / span * bins, 0, bins - 1).astype(np.int64)
     # cells in lexicographic order of their bin indices, at any dimension
+    # (one row sort per call, over the pool only: not a hot path)
     _, cell_of = np.unique(idx, axis=0, return_inverse=True)
     cell_of = cell_of.ravel()
     counts = np.bincount(cell_of)
@@ -237,7 +238,7 @@ def kfold_eval_method_b(
     the median/min/max (and mean) over folds.
     """
     p = validate_norm_order(p)
-    pool_arr = as_node_array(pool)
+    pool_arr = as_node_array(pool, g.node_count)
     k = int(k)
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -262,14 +263,15 @@ def kfold_eval_method_b(
 
     per_eps: dict[float, dict[str, list]] = {}
     for fold_idx, fold in enumerate(folds):
-        train = np.setdiff1d(pool_arr, fold, assume_unique=True)
+        held_out = node_mask(fold, g.node_count)
+        train = pool_arr[~held_out[pool_arr]]
         for eps in epsilon_grid:
             working = truth.subset(train)
             state = init_state(working, train, direction, eps)
             added, _, state = step_method_b(
                 state, g, working, p=p, candidate_test=candidate_test
             )
-            recovered = np.intersect1d(fold, added, assume_unique=True)
+            recovered = added[held_out[added]]
             pivots = state.history[-1].pivots
             coverage = recovered.size / fold.size
             err = mean_error(recovered, working, truth, p) if recovered.size else None

@@ -128,8 +128,7 @@ class FeatureStore:
         return self.provenance(node) == KNOWN
 
     def provenance_label(self, node: int) -> str:
-        step = self.provenance(node)
-        return "known" if step == KNOWN else f"estimated:{step}"
+        return _format_provenance(self.provenance(node))
 
     def features_of(self, nodes) -> np.ndarray:
         """Stack features for a node array into a (k, N) matrix."""
@@ -194,31 +193,51 @@ def incoherence(nodes, store: FeatureStore, p=2.0) -> float:
     nodes = as_node_array(nodes)
     if nodes.size == 0:
         raise ValueError("incoherence of an empty node set is undefined")
-    inc, _ = _group_stats(store.features_of(nodes), np.array([0, nodes.size]), p)
+    inc, _ = _group_stats(store.features_of(nodes), np.arange(nodes.size),
+                          np.array([0, nodes.size]), p)
     return float(inc[0])
 
 
-def _group_stats(member_values: np.ndarray, bounds: np.ndarray, p: float):
-    """Incoherence and centroid of each contiguous row group.
+# member rows gathered at once by _group_stats: bounds the memory of big steps
+_BLOCK_MEMBERS = 1 << 16
 
-    Group k occupies member_values[bounds[k]:bounds[k+1]]; every group must
+
+def _group_stats(table: np.ndarray, indices: np.ndarray, indptr: np.ndarray, p=None):
+    """Incoherence and centroid of each row group of a CSR pattern over ``table``.
+
+    Group k is ``table[indices[indptr[k]:indptr[k+1]]]``; every group must
     be nonempty. Each group is centred on its first member before summing,
     so a group of identical vectors has a centroid equal to them and an
-    incoherence of exactly 0, however far from the origin it lies.
+    incoherence of exactly 0, however far from the origin it lies. Without
+    a norm order ``p`` only the centroids are computed (incoherence None).
+    Groups are measured in blocks of whole groups holding about
+    ``_BLOCK_MEMBERS`` members, so a step never gathers one vector per
+    pattern entry at once.
     """
-    counts = np.diff(bounds)
+    counts = np.diff(indptr)
     if not (counts > 0).all():
         raise AssertionError("empty feature group")
-    starts = bounds[:-1]
-    shifted = member_values - np.repeat(member_values[starts], counts, axis=0)
-    offsets = np.add.reduceat(shifted, starts, axis=0) / counts[:, None]
-    diffs = shifted - np.repeat(offsets, counts, axis=0)
-    if p == 2.0:
-        sq = np.einsum("ij,ij->i", diffs, diffs)
-    else:
-        sq = np.sum(np.abs(diffs) ** p, axis=1) ** (2.0 / p)
-    mean_sq = np.add.reduceat(sq, starts) / counts
-    return np.sqrt(mean_sq), member_values[starts] + offsets
+    inc = None if p is None else np.empty(counts.size)
+    centers = np.empty((counts.size, table.shape[1]))
+    cuts = (np.flatnonzero(np.diff(indptr[:-1] // _BLOCK_MEMBERS)) + 1).tolist()
+    for r0, r1 in zip([0] + cuts, cuts + [counts.size]):
+        lo, n = indptr[r0], counts[r0:r1]
+        starts = indptr[r0:r1] - lo
+        # take, not fancy indexing: a row gather of a 2-d array is several times faster
+        diffs = table.take(indices[lo:indptr[r1]], axis=0)
+        firsts = diffs.take(starts, axis=0)
+        diffs -= np.repeat(firsts, n, axis=0)
+        offsets = np.add.reduceat(diffs, starts, axis=0) / n[:, None]
+        centers[r0:r1] = firsts + offsets
+        if p is None:
+            continue
+        diffs -= np.repeat(offsets, n, axis=0)
+        if p == 2.0:
+            sq = np.einsum("ij,ij->i", diffs, diffs)
+        else:
+            sq = np.sum(np.abs(diffs) ** p, axis=1) ** (2.0 / p)
+        inc[r0:r1] = np.sqrt(np.add.reduceat(sq, starts) / n)
+    return inc, centers
 
 
 def _validate_epsilon(epsilon) -> float:
@@ -239,7 +258,7 @@ def _gate(g: DirectedGraph, store: FeatureStore, V: np.ndarray, direction: Direc
     """
     cand = g.neighborhood(V, direction)
     M = incidence(g, cand, V, direction.opposite)
-    inc, centers = _group_stats(store.features_of(V)[M.indices], M.indptr, p)
+    inc, centers = _group_stats(store.features_of(V), M.indices, M.indptr, p)
     return cand, inc, centers
 
 
@@ -278,14 +297,17 @@ def write_features_csv(
     header = ["node_label"] + [f"f{i + 1}" for i in range(store.dim)]
     if include_provenance:
         header.append("provenance")
+    # one range check and one gather for the whole store, so rows need no
+    # per-node label_of / provenance_label calls
+    nodes = as_node_array(store.nodes(), graph.node_count)
+    labels, ids = graph.labels, nodes.tolist()
+    rows = ([labels[v], *map(repr, vec)] for v, vec in zip(ids, store.features_of(nodes).tolist()))
+    if include_provenance:
+        rows = (row + [_format_provenance(store._steps[v])] for row, v in zip(rows, ids))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for node, vec in store.items():
-            row = [graph.label_of(node)] + [repr(float(x)) for x in vec]
-            if include_provenance:
-                row.append(store.provenance_label(node))
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def write_labeled_features_csv(path, rows: Iterable[tuple[str, np.ndarray]], dim: int) -> None:
@@ -296,6 +318,10 @@ def write_labeled_features_csv(path, rows: Iterable[tuple[str, np.ndarray]], dim
         writer.writerow(header)
         for label, vec in rows:
             writer.writerow([label] + [repr(float(x)) for x in vec])
+
+
+def _format_provenance(step: int) -> str:
+    return "known" if step == KNOWN else f"estimated:{step}"
 
 
 def _parse_provenance(text: str) -> int:

@@ -68,12 +68,23 @@ class UnknownNodeError(KeyError):
     """A node id or label that is not part of the graph."""
 
 
+def _sorted_unique(arr: np.ndarray) -> np.ndarray:
+    """Sort in place and drop neighbour repeats: a sort and a diff, no hash table."""
+    arr.sort()
+    if arr.size < 2:
+        return arr
+    fresh = np.empty(arr.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(arr[1:], arr[:-1], out=fresh[1:])
+    return arr if fresh.all() else arr[fresh]
+
+
 def as_node_array(nodes, node_count: int | None = None) -> np.ndarray:
     """Normalize any iterable of node ids to a sorted unique int64 array."""
     if isinstance(nodes, np.ndarray):
-        arr = np.unique(nodes.astype(np.int64, copy=False))
+        arr = _sorted_unique(nodes.astype(np.int64).ravel())
     else:
-        arr = np.unique(np.fromiter(nodes, dtype=np.int64))
+        arr = _sorted_unique(np.fromiter(nodes, dtype=np.int64))
     if arr.size and node_count is not None:
         if arr[0] < 0 or arr[-1] >= node_count:
             bad = arr[0] if arr[0] < 0 else arr[-1]
@@ -88,12 +99,11 @@ def node_mask(nodes: np.ndarray, node_count: int) -> np.ndarray:
     return mask
 
 
-def _csr(order: np.ndarray, keys: np.ndarray, values: np.ndarray, n: int):
-    counts = np.bincount(keys, minlength=n)
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointer of entries whose row ids ``rows`` come out grouped by row."""
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = values[order]
-    return indptr, indices
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
 
 
 class DirectedGraph:
@@ -156,20 +166,20 @@ class DirectedGraph:
 
         loops = arr[:, 0] == arr[:, 1]
         n_loops = int(loops.sum())
-        arr = arr[~loops]
-        before = arr.shape[0]
-        arr = np.unique(arr, axis=0) if arr.size else arr
-        n_dupes = before - arr.shape[0]
         if n_loops:
             logger.warning("dropped %d self-loop record(s)", n_loops)
 
+        # one int64 key per pair, u*n + v: the sorted unique keys are the pairs
+        # in (u, v) order, which is the forward CSR; keys v*n + u order the
+        # reverse CSR, and being unique they need no stable sort
         n = int(node_count)
-        # np.unique already sorted rows by (u, v): forward lists come out sorted
-        fwd_indptr, fwd_indices = _csr(np.arange(arr.shape[0]), arr[:, 0], arr[:, 1], n)
-        rev_order = np.lexsort((arr[:, 0], arr[:, 1]))
-        rev_indptr, rev_indices = _csr(rev_order, arr[rev_order, 1], arr[:, 0], n)
+        arr = arr[~loops]
+        keys = _sorted_unique(arr[:, 0] * n + arr[:, 1])
+        n_dupes = arr.shape[0] - keys.size
+        src, dst = np.divmod(keys, n)
+        rev_order = np.argsort(dst * n + src)
         return cls(
-            n, fwd_indptr, fwd_indices, rev_indptr, rev_indices,
+            n, _indptr(src, n), dst, _indptr(dst[rev_order], n), src[rev_order],
             labels=labels, self_loops_dropped=n_loops, duplicates_collapsed=n_dupes,
         )
 
@@ -231,7 +241,7 @@ class DirectedGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u, Direction.UP)
-        j = np.searchsorted(row, v)
+        j = np.searchsorted(row, v)  # one binary search in one sorted row: not a hot path
         return bool(j < row.size and row[j] == v)
 
     # -- labels ------------------------------------------------------------
@@ -281,9 +291,18 @@ def incidence(
     ``direction``, in increasing order: it is row rows[k] of that
     direction's CSR, keeping only the ``cols`` columns. Rows may repeat.
     """
-    flat, bounds = grouped_restricted_neighbors(g, rows, node_mask(cols, g.node_count), direction)
+    flat, bounds = g._gather(np.asarray(rows, dtype=np.int64), direction)
+    # one position map is both the membership test (-1: not a column) and the
+    # column index; int32 keeps its copy of a hub-sized gather at half size
+    pos = np.full(g.node_count, -1, dtype=np.int32 if cols.size < 2**31 else np.int64)
+    pos[cols] = np.arange(cols.size)
+    col = pos[flat]
+    keep = col >= 0
+    kept_before = np.zeros(flat.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    col = col[keep]
     return sparse.csr_array(
-        (np.ones(flat.size, dtype=bool), np.searchsorted(cols, flat), bounds),
+        (np.ones(col.size, dtype=bool), col, kept_before[bounds]),
         shape=(bounds.size - 1, cols.size),
     )
 

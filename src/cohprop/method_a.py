@@ -61,7 +61,7 @@ class PropagationState:
             raise AssertionError("featured set must be sorted unique and nonempty")
         if not (x.size == 0 or np.all(np.diff(x) > 0)):
             raise AssertionError("excluded set must be sorted unique")
-        if np.intersect1d(f, x, assume_unique=True).size:
+        if x.size and node_mask(f, int(max(f[-1], x[-1])) + 1)[x].any():
             raise AssertionError("featured and excluded sets must be disjoint")
 
 
@@ -108,8 +108,8 @@ def _advance(
     record = StepRecord(state.step, int(added.size), int(excluded.size), pivots)
     return replace(
         state,
-        featured=np.union1d(state.featured, added),
-        excluded=np.union1d(state.excluded, excluded),
+        featured=as_node_array(np.concatenate((state.featured, added))),
+        excluded=as_node_array(np.concatenate((state.excluded, excluded))),
         step=state.step + 1,
         history=state.history + (record,),
     )

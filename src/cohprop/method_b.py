@@ -36,7 +36,6 @@ __all__ = [
     "run_method_b",
 ]
 
-_EMPTY = np.empty(0, dtype=np.int64)
 CANDIDATE_TESTS = ("pivot-features", "co-neighbors")
 
 
@@ -109,9 +108,9 @@ def step_method_b(
 
     The step is sparse linear algebra over two incidences: C, fresh
     candidate x pivot, and B, pivot x featured node. Row k of the 0/1
-    pattern of C @ B is the co-neighbor set of candidate k, and the
-    product of that pattern with the featured nodes' features gives the
-    co-neighbor sums without materialising one vector per member. Every
+    pattern of C @ B is the co-neighbor set of candidate k. Its estimate is
+    the centroid that the coherence gate computes, centred on a member, so
+    identical co-neighbors give back their common vector exactly. Every
     fresh candidate has a pivot (it was reached through one), and every
     pivot has a featured back-connection (it passed the gate on one), so
     every co-neighbor set is nonempty.
@@ -128,25 +127,22 @@ def step_method_b(
     d = state.direction
 
     reach = g.neighborhood(pivots.nodes, d.opposite)
-    fresh = reach[~featured_mask[reach] & ~blocked_mask[reach]]
-    if fresh.size == 0:
-        return _EMPTY, rejected, _advance(state, _EMPTY, rejected, pivots=len(pivots))
+    added = reach[~featured_mask[reach] & ~blocked_mask[reach]]
 
-    C = incidence(g, fresh, pivots.nodes, d)
-    B = incidence(g, pivots.nodes, V, d.opposite)
-    feats = store.features_of(V)
+    C = incidence(g, added, pivots.nodes, d)
     if candidate_test == "pivot-features":
-        inc, _ = _group_stats(pivots.features[C.indices], C.indptr, p)
+        inc, _ = _group_stats(pivots.features, C.indices, C.indptr, p)
         ok = inc <= state.epsilon
-        pattern = C[ok] @ B
-    else:
-        pattern = C @ B
-        inc, _ = _group_stats(feats[pattern.indices], pattern.indptr, p)
+        added, C = added[ok], C[ok]
+    pattern = C @ incidence(g, pivots.nodes, V, d.opposite)
+    pattern.sort_indices()  # each set measured from its first member, in node order
+    co_test = candidate_test == "co-neighbors"
+    inc, estimates = _group_stats(store.features_of(V), pattern.indices, pattern.indptr,
+                                  p if co_test else None)
+    if co_test:
         ok = inc <= state.epsilon
-        pattern = pattern[ok]
+        added, estimates = added[ok], estimates[ok]
 
-    added = fresh[ok]
-    estimates = (pattern @ feats) / np.diff(pattern.indptr)[:, None]
     store.set_estimated_many(added, estimates, state.step)
     return added, rejected, _advance(state, added, rejected, pivots=len(pivots))
 

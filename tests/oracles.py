@@ -31,14 +31,28 @@ def naive_error(est, truth, p):
 
 
 def naive_centroid(vectors):
-    dim = len(vectors[0])
-    return [sum(v[d] for v in vectors) / len(vectors) for d in range(dim)]
+    """Component-wise mean, taken as the first member plus the mean offset from it.
+
+    The mean is translation invariant. Measuring from the first member
+    makes the centroid of identical vectors equal to them exactly; a plain
+    sum over a count can leave a rounding residue (three 0.1 give
+    0.10000000000000002).
+    """
+    first = vectors[0]
+    return [f + sum(v[d] - f for v in vectors) / len(vectors) for d, f in enumerate(first)]
 
 
 def naive_incoherence(vectors, p):
-    c = naive_centroid(vectors)
+    """Root mean squared p-norm distance to the centroid, measured from the first member.
+
+    Incoherence is translation invariant. Shifting by the first member
+    makes a set of identical vectors exactly 0, as the definition says.
+    """
+    first = vectors[0]
+    shifted = [[x - y for x, y in zip(v, first)] for v in vectors]
+    c = naive_centroid(shifted)
     total = 0.0
-    for v in vectors:
+    for v in shifted:
         total += naive_norm([x - y for x, y in zip(v, c)], p) ** 2
     return math.sqrt(total / len(vectors))
 
@@ -133,25 +147,13 @@ def enum_co_neighbors(sg, v, pivots, members, direction):
     return pooled & set(members)
 
 
-def naive_coherent(vectors, p, epsilon):
-    """The coherence test, measured from the first member.
-
-    Incoherence is translation invariant. Shifting by the first member
-    makes a set of identical vectors exactly 0, as the definition says;
-    the sum-over-count centroid of naive_incoherence can leave a rounding
-    residue there, which decides the test at epsilon = 0.
-    """
-    first = vectors[0]
-    return naive_incoherence([[x - y for x, y in zip(v, first)] for v in vectors], p) <= epsilon
-
-
 def naive_step_method_a(sg, features, featured, excluded, direction, epsilon, p):
     """One method-A step by set enumeration: (added, rejected, estimates)."""
     featured, excluded = set(featured), set(excluded)
     added, rejected, estimates = set(), set(), {}
     for u in sg.neighborhood(featured, direction) - featured - excluded:
         vecs = [features[v] for v in sorted(sg.neighbors(u, direction.opposite) & featured)]
-        if naive_coherent(vecs, p, epsilon):
+        if naive_incoherence(vecs, p) <= epsilon:
             added.add(u)
             estimates[u] = naive_centroid(vecs)
         else:
@@ -175,7 +177,7 @@ def naive_step_method_b(sg, features, featured, excluded, direction, epsilon, p,
     pivots, rejected = {}, set()
     for u in sg.neighborhood(featured, direction):
         vecs = [features[v] for v in sorted(sg.neighbors(u, opposite) & featured)]
-        if naive_coherent(vecs, p, epsilon):
+        if naive_incoherence(vecs, p) <= epsilon:
             if u not in excluded:
                 pivots[u] = naive_centroid(vecs)
         elif u not in excluded and u not in featured:
@@ -188,7 +190,7 @@ def naive_step_method_b(sg, features, featured, excluded, direction, epsilon, p,
             tested = [pivots[pv] for pv in sorted(sg.neighbors(c, direction) & set(pivots))]
         else:
             tested = pooled
-        if naive_coherent(tested, p, epsilon):
+        if naive_incoherence(tested, p) <= epsilon:
             added.add(c)
             estimates[c] = naive_centroid(pooled)
     return added, rejected, estimates

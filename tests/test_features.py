@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cohprop import features
 from cohprop.features import (
     FeatureStore,
     centroid,
@@ -15,7 +16,7 @@ from cohprop.features import (
     read_features_csv,
     write_features_csv,
 )
-from cohprop.graph import DirectedGraph, Direction, load_edge_list
+from cohprop.graph import DirectedGraph, Direction, UnknownNodeError, load_edge_list
 from conftest import store_from
 from oracles import (
     naive_coherent_neighborhood,
@@ -190,6 +191,26 @@ class TestIncoherence:
                 got = incoherence(range(k), store, p=p)
                 assert got == pytest.approx(naive_incoherence(vecs.tolist(), p), abs=1e-12)
 
+    def test_oracle_identical_members_exactly_zero(self, rng):
+        for dim in (1, 2, 16):
+            vec = rng.normal(size=dim).tolist()
+            assert naive_incoherence([vec] * 3, 2.0) == 0.0
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.sampled_from([1, 2, 16]),
+           st.sampled_from([1.0, 2.0, 3.0]), st.integers(1, 5))
+    def test_blocked_groups_match_one_block(self, seed, n_groups, dim, p, block):
+        rng = np.random.default_rng(seed)
+        table = rng.normal(size=(8, dim))
+        indptr = np.concatenate(([0], np.cumsum(rng.integers(1, 5, size=n_groups))))
+        indices = rng.integers(0, 8, size=int(indptr[-1]))
+        whole = features._group_stats(table, indices, indptr, p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(features, "_BLOCK_MEMBERS", block)
+            blocked = features._group_stats(table, indices, indptr, p)
+        for a, b in zip(whole, blocked):
+            np.testing.assert_array_equal(a, b)
+        assert whole[0].shape == (n_groups,) and whole[1].shape == (n_groups, dim)
+
     @given(st.lists(st.lists(finite, min_size=2, max_size=2), min_size=1, max_size=6), finite)
     def test_translation_invariant(self, vecs, shift):
         store = store_from(vecs)
@@ -287,6 +308,31 @@ class TestFeaturesCsv:
         for node in (g.id_of("a"), g.id_of("b")):
             assert back.get(node) == pytest.approx(store.get(node), abs=0)
             assert back.provenance(node) == store.provenance(node)
+
+    def test_rows_in_node_order_with_repr_values(self, tmp_path):
+        g = load_edge_list(b"a,b\nb,c\n")
+        store = FeatureStore(2)
+        store.set_estimated(g.id_of("c"), [0.1 + 0.2, -0.0], step=3)
+        store.set_known(g.id_of("a"), [1e-07, 2.0])
+        path = tmp_path / "features.csv"
+        write_features_csv(path, store, g, include_provenance=True)
+        assert path.read_bytes() == (
+            b"node_label,f1,f2,provenance\r\n"
+            b"a,1e-07,2.0,known\r\n"
+            b"c,0.30000000000000004,-0.0,estimated:3\r\n"
+        )
+        write_features_csv(path, store, g)
+        assert path.read_text().splitlines()[1:] == ["a,1e-07,2.0", "c,0.30000000000000004,-0.0"]
+
+    def test_node_outside_graph_rejected_before_writing(self, tmp_path):
+        g = load_edge_list(b"a,b\n")
+        store = FeatureStore(1)
+        store.set_known(0, [1.0])
+        store.set_known(2, [2.0])
+        path = tmp_path / "features.csv"
+        with pytest.raises(UnknownNodeError):
+            write_features_csv(path, store, g)
+        assert not path.exists()
 
     def test_plain_rows_load_as_known(self, tmp_path):
         g = load_edge_list(b"a,b\n")

@@ -2,12 +2,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cohprop.graph import (
     DirectedGraph,
     Direction,
     EdgeListParseError,
     UnknownNodeError,
+    as_node_array,
     grouped_restricted_neighbors,
     incidence,
     load_edge_list,
@@ -196,3 +199,89 @@ class TestFromEdges:
         g = DirectedGraph.from_edges([(0, 1), (2, 1)], node_count=3)
         assert g.has_edge(0, 1)
         assert not g.has_edge(1, 0)
+
+
+class TestAsNodeArray:
+    @given(st.lists(st.integers(-2**40, 2**40), max_size=40))
+    def test_matches_sorted_set(self, values):
+        want = sorted(set(values))
+        for given_as in (values, iter(values), np.array(values, dtype=np.int64)):
+            got = as_node_array(given_as)
+            assert got.dtype == np.int64 and got.tolist() == want
+
+    @given(st.lists(st.integers(0, 30), max_size=40), st.integers(1, 3))
+    def test_strided_and_2d_input_left_unchanged(self, values, stride):
+        arr = np.array(values, dtype=np.int32)
+        before = arr.copy()
+        assert as_node_array(arr[::stride]).tolist() == sorted(set(values[::stride]))
+        square = np.resize(arr, (len(values) // 2, 2))
+        assert as_node_array(square).tolist() == sorted(set(square.ravel().tolist()))
+        np.testing.assert_array_equal(arr, before)
+
+    def test_empty(self):
+        for empty in ([], np.empty(0), np.empty((0, 2), dtype=np.int64)):
+            got = as_node_array(empty, node_count=0)
+            assert got.dtype == np.int64 and got.size == 0
+
+    @given(st.lists(st.integers(0, 9), max_size=10), st.sampled_from([-1, 10, 2**40]))
+    def test_out_of_range_rejected(self, values, bad):
+        assert as_node_array(values, node_count=10).tolist() == sorted(set(values))
+        with pytest.raises(UnknownNodeError):
+            as_node_array(values + [bad], node_count=10)
+
+
+def reference_csr(arr, n):
+    """The row-sort build: unique (u, v) rows, a lexicographic sort for the reverse CSR."""
+    arr = arr[arr[:, 0] != arr[:, 1]]
+    arr = np.unique(arr, axis=0) if arr.size else arr
+    fwd_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(arr[:, 0], minlength=n), out=fwd_indptr[1:])
+    rev_order = np.lexsort((arr[:, 0], arr[:, 1]))
+    rev_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(arr[:, 1], minlength=n), out=rev_indptr[1:])
+    return fwd_indptr, arr[:, 1], rev_indptr, arr[rev_order, 0]
+
+
+edge_lists = st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+             max_size=0 if n == 0 else 60),
+))
+
+
+class TestFromEdgesProperties:
+    @given(edge_lists, st.integers(0, 3), st.booleans())
+    def test_matches_row_sort_build(self, case, extra, give_count):
+        n, pairs = case
+        node_count = n + extra if give_count else None
+        g = DirectedGraph.from_edges(pairs, node_count=node_count)
+        arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        want_n = node_count if give_count else (int(arr.max()) + 1 if arr.size else 0)
+        assert g.node_count == want_n
+        got = (g._fwd_indptr, g._fwd_indices, g._rev_indptr, g._rev_indices)
+        for a, b in zip(got, reference_csr(arr, want_n)):
+            assert a.dtype == np.int64
+            np.testing.assert_array_equal(a, b)
+        loops = sum(u == v for u, v in pairs)
+        assert g.self_loops_dropped == loops
+        assert g.duplicates_collapsed == len(pairs) - loops - len({(u, v) for u, v in pairs if u != v})
+        assert g.edge_count == len({(u, v) for u, v in pairs if u != v})
+
+
+class TestIncidenceProperties:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 25), st.integers(0, 15),
+           st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from(list(Direction)))
+    def test_repeated_rows_and_any_columns(self, seed, n, n_rows, col_share, d):
+        rng = np.random.default_rng(seed)
+        pairs = rng.integers(0, n, size=(3 * n, 2))
+        edges = {(int(u), int(v)) for u, v in pairs if u != v}
+        g = DirectedGraph.from_edges(sorted(edges), node_count=n)
+        rows = rng.integers(0, n, size=n_rows)  # repeats allowed
+        cols = np.flatnonzero(rng.random(n) < col_share)  # may be empty
+        M = incidence(g, rows, cols, d)
+        assert M.shape == (n_rows, cols.size)
+        position = {int(c): j for j, c in enumerate(cols)}
+        for k, v in enumerate(rows.tolist()):
+            want = sorted(position[u] for u in naive_neighbors(edges, v, d) if u in position)
+            assert M.indices[M.indptr[k]:M.indptr[k + 1]].tolist() == want
+        assert M.data.all()

@@ -134,7 +134,7 @@ class TestStep:
         state = init_state(store, range(k), Direction.UP, 0.0)
         added, rejected, _ = step_method_b(state, g, store, candidate_test=candidate_test)
         assert added.tolist() == [k + 1] and rejected.size == 0
-        assert store.get(k + 1) == pytest.approx(vec, rel=1e-15)
+        assert store.get(k + 1).tolist() == vec
 
     def test_unknown_candidate_test_rejected(self):
         store = store_from([[0.0], [0.2]])
@@ -152,6 +152,16 @@ class TestRun:
         assert 2 in store
         last = result.history[-1]
         assert (last.added, last.excluded) == (0, 0)
+
+    def test_identical_estimate_keeps_pivot_at_zero_threshold(self):
+        # seeds 0-2 at 0.1 and node 4 follow 3; 4's estimate is exactly 0.1,
+        # so at step 1 pivot 3 is still coherent and the run stops there
+        g = DirectedGraph.from_edges([(0, 3), (1, 3), (2, 3), (4, 3)], node_count=5)
+        store = store_from([[0.1]] * 3)
+        result = run_method_b(g, store, [0, 1, 2], Direction.UP, 0.0, max_steps=3)
+        assert store.get(4).tolist() == [0.1]
+        assert [(r.added, r.excluded, r.pivots) for r in result.history] == [(1, 0, 1), (0, 0, 1)]
+        assert result.state.excluded.size == 0
 
     def test_zero_budget_rejected(self):
         store = store_from([[0.0], [0.2]])

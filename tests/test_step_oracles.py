@@ -3,10 +3,15 @@
 Random small graphs with isolated nodes, seeds of any size, feature
 dimensions 1, 2 and 16, both directions, several norm orders and
 thresholds including 0. Quantised features make identical members (and so
-incoherence exactly 0) common. Each case runs up to three steps so that
-blacklisted and freshly estimated nodes feed the later steps.
+incoherence exactly 0) common; with a quantum of 0.1 sums over counts are
+inexact too, so estimates must match the oracle's first-member form. Each
+case runs up to three steps so that blacklisted and freshly estimated
+nodes feed the later steps. One fixed case checks that identical
+co-neighbors give back their common vector, which keeps their pivot
+coherent at threshold 0 in the next step.
 """
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,7 +28,7 @@ instances = st.fixed_dictionaries({
     "n": st.integers(2, 30),
     "density": st.sampled_from([0.0, 0.5, 1.5, 3.0]),
     "dim": st.sampled_from([1, 2, 16]),
-    "quantised": st.booleans(),
+    "quantum": st.sampled_from([None, 0.5, 0.1]),
     "p": st.sampled_from([1.0, 1.5, 2.0, 3.0]),
     "epsilon": st.sampled_from([0.0, 0.37, 0.91, 2.3]),
     "direction": st.sampled_from(list(Direction)),
@@ -37,8 +42,8 @@ def build(inst):
     pairs = rng.integers(0, n, size=(int(inst["density"] * n), 2))
     edges = sorted({(int(u), int(v)) for u, v in pairs if u != v})
     g = DirectedGraph.from_edges(np.array(edges, dtype=np.int64).reshape(-1, 2), node_count=n + 2)
-    if inst["quantised"]:
-        feats = 0.5 * rng.integers(0, 3, size=(n + 2, inst["dim"]))
+    if inst["quantum"]:
+        feats = inst["quantum"] * rng.integers(0, 3, size=(n + 2, inst["dim"]))
     else:
         feats = rng.normal(size=(n + 2, inst["dim"]))
     seed = np.sort(rng.choice(n + 2, size=int(rng.integers(1, n + 3)), replace=False))
@@ -47,8 +52,12 @@ def build(inst):
 
 def check_steps(inst, step, naive, **options):
     g, sg, feats, seed = build(inst)
-    d, eps, p = inst["direction"], inst["epsilon"], inst["p"]
-    store = FeatureStore(inst["dim"])
+    check_built_steps(g, sg, feats, seed, inst["direction"], inst["epsilon"], inst["p"],
+                      step, naive, **options)
+
+
+def check_built_steps(g, sg, feats, seed, d, eps, p, step, naive, **options):
+    store = FeatureStore(feats.shape[1])
     for v in seed.tolist():
         store.set_known(v, feats[v])
     known = {v: feats[v].tolist() for v in seed.tolist()}
@@ -78,3 +87,14 @@ def test_method_a_step_matches_oracle(inst):
 @given(instances, st.sampled_from(["pivot-features", "co-neighbors"]))
 def test_method_b_step_matches_oracle(inst, candidate_test):
     check_steps(inst, step_method_b, naive_step_method_b, candidate_test=candidate_test)
+
+
+@pytest.mark.parametrize("candidate_test", ["pivot-features", "co-neighbors"])
+def test_method_b_identical_estimate_at_zero_threshold(candidate_test):
+    # seeds 0-2 at 0.1 and node 4 all follow 3; step 1 sees 4's estimate
+    # next to the seeds, and must still pass pivot 3 at threshold 0
+    edges = [(0, 3), (1, 3), (2, 3), (4, 3)]
+    g = DirectedGraph.from_edges(edges, node_count=5)
+    feats = np.full((5, 1), 0.1)
+    check_built_steps(g, SetGraph(edges, 5), feats, np.arange(3), Direction.UP, 0.0, 2.0,
+                      step_method_b, naive_step_method_b, candidate_test=candidate_test)
