@@ -332,10 +332,7 @@ def correlate_with_external(
     list. Requires at least three matched groups per criterion; constant
     scores are rejected.
     """
-    if isinstance(positions, FeatureStore):
-        pos_map = {node: vec for node, vec in positions.items()}
-    else:
-        pos_map = {int(k): np.asarray(v, dtype=np.float64) for k, v in positions.items()}
+    pos_map = {int(k): np.asarray(v, dtype=np.float64) for k, v in positions.items()}
     if not pos_map:
         raise ValueError("no positions given")
     dim = len(next(iter(pos_map.values())))

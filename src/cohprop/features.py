@@ -3,7 +3,10 @@
 A :class:`FeatureStore` keeps one fixed-dimension vector per node, tagged
 as seed (``known``) or propagated (``estimated`` with the step at which it
 was written). Entries are write-once: propagation never overwrites a seed
-feature and never re-estimates a node.
+feature and never re-estimates a node. The store is one table: a float64
+``(capacity, N)`` row array that grows by doubling, an int64 step array and
+a dict from node id to row. Every write is one checked commit of a block of
+rows, and every bulk read is one gather through the index.
 
 The metric layer provides the distance between an estimate and a reference
 vector, set centroids, set incoherence (root mean squared p-norm distance
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import count
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -54,51 +58,62 @@ class FeatureStore:
         if int(dim) < 1:
             raise ValueError("feature dimension must be >= 1")
         self._dim = int(dim)
-        self._values: dict[int, np.ndarray] = {}
-        self._steps: dict[int, int] = {}
+        self._table = np.empty((0, self._dim))
+        self._step = np.empty(0, dtype=np.int64)
+        self._row: dict[int, int] = {}
 
     @property
     def dim(self) -> int:
         return self._dim
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._row)
 
     def __contains__(self, node) -> bool:
-        return int(node) in self._values
+        return int(node) in self._row
 
     def nodes(self) -> np.ndarray:
-        return np.array(sorted(self._values), dtype=np.int64)
+        return np.sort(np.fromiter(self._row, dtype=np.int64, count=len(self._row)))
 
     def items(self) -> Iterator[tuple[int, np.ndarray]]:
-        for node in sorted(self._values):
-            yield node, self._values[node]
+        nodes = self.nodes()
+        return zip(nodes.tolist(), self.features_of(nodes))
 
-    def _commit(self, nodes: list[int], values, step: int) -> None:
-        """Write ``values[k]`` for ``nodes[k]``, checked once for the whole batch.
+    def _commit(self, nodes: list[int], values, steps) -> None:
+        """Write row k of ``values`` for ``nodes[k]`` at ``steps`` (a scalar or one per row).
 
-        The rows are stored as read-only views of one private copy.
+        The batch is checked as a whole before anything is written, so a
+        rejected batch leaves the store unchanged.
         """
-        values = np.array(values, dtype=np.float64)
-        if values.shape != (len(nodes), self._dim):
+        values = np.asarray(values, dtype=np.float64)
+        n, k = len(self._row), len(nodes)
+        if values.shape != (k, self._dim):
             raise ValueError(
-                f"expected {len(nodes)} vector(s) of dimension {self._dim}, "
-                f"got shape {values.shape}"
+                f"expected {k} vector(s) of dimension {self._dim}, got shape {values.shape}"
             )
         if np.count_nonzero(np.isfinite(values)) != values.size:
             raise ValueError("feature components must be finite")
-        if len(set(nodes)) != len(nodes):
+        if len(set(nodes)) != k:
             raise ValueError("a batch of features lists a node more than once")
-        taken = [v for v in nodes if v in self._values]
-        if taken:
-            raise ValueError(f"features for node {taken[0]} already set; entries are write-once")
-        values.setflags(write=False)
-        for node, row in zip(nodes, values):
-            self._values[node] = row
-            self._steps[node] = step
+        if not self._row.keys().isdisjoint(nodes):
+            taken = next(v for v in nodes if v in self._row)
+            raise ValueError(f"features for node {taken} already set; entries are write-once")
+        if n + k > self._step.size:
+            spare = max(k, n)  # grow by doubling
+            self._table = np.concatenate((self._table[:n], np.empty((spare, self._dim))))
+            self._step = np.concatenate((self._step[:n], np.empty(spare, dtype=np.int64)))
+        self._table[n:n + k] = values
+        # [...] on the slice: assigning a Python int to a slice directly is
+        # about 2x slower in NumPy 2.4, and single rows pay it on every write
+        self._step[n:n + k][...] = steps
+        self._row.update(zip(nodes, count(n)))
 
     def set_known(self, node: int, vec) -> None:
-        self._commit([int(node)], [vec], KNOWN)
+        self._commit([int(node)], np.asarray(vec, dtype=np.float64)[None], KNOWN)
+
+    def set_known_many(self, nodes, values) -> None:
+        """Batched :meth:`set_known`, all or nothing like :meth:`set_estimated_many`."""
+        self._commit(np.asarray(nodes, dtype=np.int64).tolist(), values, KNOWN)
 
     def set_estimated(self, node: int, vec, step: int) -> None:
         self.set_estimated_many([node], [vec], step)
@@ -113,16 +128,22 @@ class FeatureStore:
             raise ValueError("estimation step must be >= 0")
         self._commit(np.asarray(nodes, dtype=np.int64).tolist(), values, int(step))
 
-    def get(self, node: int) -> np.ndarray:
+    def _rows(self, nodes: list[int]) -> np.ndarray:
+        """Table rows of ``nodes`` through the index (``KeyError`` for a node without features)."""
         try:
-            return self._values[int(node)]
-        except KeyError:
-            raise KeyError(f"no features for node {int(node)}") from None
+            return np.fromiter(map(self._row.__getitem__, nodes), dtype=np.int64, count=len(nodes))
+        except KeyError as exc:
+            raise KeyError(f"no features for node {exc.args[0]}") from None
+
+    def get(self, node: int) -> np.ndarray:
+        """Read-only view of the node's vector."""
+        row = self._table[self._rows([int(node)])[0]]
+        row.flags.writeable = False
+        return row
 
     def provenance(self, node: int) -> int:
         """KNOWN (-1) for seed entries, else the propagation step index."""
-        self.get(node)
-        return self._steps[int(node)]
+        return int(self._step[self._rows([int(node)])[0]])
 
     def is_known(self, node: int) -> bool:
         return self.provenance(node) == KNOWN
@@ -132,27 +153,19 @@ class FeatureStore:
 
     def features_of(self, nodes) -> np.ndarray:
         """Stack features for a node array into a (k, N) matrix."""
-        nodes = as_node_array(nodes)
-        try:
-            rows = [self._values[v] for v in nodes.tolist()]
-        except KeyError as exc:
-            raise KeyError(f"no features for node {exc.args[0]}") from None
-        return np.array(rows, dtype=np.float64).reshape(nodes.size, self._dim)
+        return self._table.take(self._rows(as_node_array(nodes).tolist()), axis=0)
+
+    def steps_of(self, nodes) -> np.ndarray:
+        """Provenance steps of a node array, in the row order of :meth:`features_of`."""
+        return self._step[self._rows(as_node_array(nodes).tolist())]
 
     def subset(self, nodes) -> "FeatureStore":
         """Copy of the entries for ``nodes`` (all must be present)."""
+        nodes = as_node_array(nodes).tolist()
+        rows = self._rows(nodes)
         sub = FeatureStore(self._dim)
-        for v in as_node_array(nodes).tolist():
-            vec = self.get(v)
-            sub._values[v] = vec
-            sub._steps[v] = self._steps[v]
+        sub._commit(nodes, self._table.take(rows, axis=0), self._step[rows])
         return sub
-
-    def copy(self) -> "FeatureStore":
-        dup = FeatureStore(self._dim)
-        dup._values = dict(self._values)
-        dup._steps = dict(self._steps)
-        return dup
 
 
 # -- metrics ----------------------------------------------------------------
@@ -303,7 +316,8 @@ def write_features_csv(
     labels, ids = graph.labels, nodes.tolist()
     rows = ([labels[v], *map(repr, vec)] for v, vec in zip(ids, store.features_of(nodes).tolist()))
     if include_provenance:
-        rows = (row + [_format_provenance(store._steps[v])] for row, v in zip(rows, ids))
+        rows = (row + [label] for row, label in
+                zip(rows, map(_format_provenance, store.steps_of(nodes).tolist())))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -328,7 +342,9 @@ def _parse_provenance(text: str) -> int:
     if text == "known":
         return KNOWN
     if text.startswith("estimated:"):
-        return int(text.split(":", 1)[1])
+        step = int(text.split(":", 1)[1])
+        if step >= 0:
+            return step
     raise ValueError(f"bad provenance value {text!r}")
 
 
@@ -350,20 +366,18 @@ def read_features_csv(path, graph: DirectedGraph) -> FeatureStore:
         dim = len(header) - 1 - (1 if has_prov else 0)
         if dim < 1:
             raise ValueError(f"{path}: no feature columns in header")
-        store = FeatureStore(dim)
+        nodes, values, steps = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            node = graph.id_of(row[0])
+            nodes.append(graph.id_of(row[0]))
             try:
-                vec = [float(x) for x in row[1:1 + dim]]
+                values.append([float(x) for x in row[1:1 + dim]])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric feature value") from None
-            step = _parse_provenance(row[-1]) if has_prov else KNOWN
-            if step == KNOWN:
-                store.set_known(node, vec)
-            else:
-                store.set_estimated(node, vec, step)
+            steps.append(_parse_provenance(row[-1]) if has_prov else KNOWN)
+    store = FeatureStore(dim)
+    store._commit(nodes, np.reshape(values, (len(nodes), dim)), steps)
     return store

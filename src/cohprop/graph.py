@@ -334,16 +334,7 @@ def load_edge_list(
     the stream contains no records at all.
     """
     ids: dict[str, int] = {}
-    pairs: list[tuple[int, int]] = []
-    records = 0
-
-    def intern(label: str) -> int:
-        i = ids.get(label)
-        if i is None:
-            i = len(ids)
-            ids[label] = i
-        return i
-
+    flat: list[int] = []  # source and target ids of every record, in file order
     for lineno, raw in enumerate(_iter_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith(comment):
@@ -355,12 +346,10 @@ def load_edge_list(
             )
         if not fields[0] or not fields[1]:
             raise EdgeListParseError("empty node label", lineno)
-        records += 1
-        pairs.append((intern(fields[0]), intern(fields[1])))
+        flat.append(ids.setdefault(fields[0], len(ids)))
+        flat.append(ids.setdefault(fields[1], len(ids)))
 
-    if records == 0:
+    if not flat:
         raise ValueError("edge-list stream contains no records")
-    labels = [None] * len(ids)
-    for lab, i in ids.items():
-        labels[i] = lab
-    return DirectedGraph.from_edges(pairs, node_count=len(ids), labels=labels)
+    return DirectedGraph.from_edges(np.array(flat, dtype=np.int64).reshape(-1, 2),
+                                    node_count=len(ids), labels=list(ids))

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .features import FeatureStore, _gate, validate_norm_order, _validate_epsilon
+from .features import KNOWN, FeatureStore, _gate, validate_norm_order, _validate_epsilon
 from .graph import DirectedGraph, Direction, as_node_array, node_mask
 from .graph import grouped_restricted_neighbors  # noqa: F401  (perfbench/spans.py wraps it here)
 
@@ -85,11 +85,12 @@ def init_state(store: FeatureStore, seed, direction: Direction, epsilon) -> Prop
     if not isinstance(direction, Direction):
         raise TypeError("direction must be a Direction")
     epsilon = _validate_epsilon(epsilon)
-    for v in seed.tolist():
-        if v not in store:
-            raise ValueError(f"seed node {v} has no features")
-        if not store.is_known(v):
-            raise ValueError(f"seed node {v} carries an estimated feature, not a known one")
+    try:
+        estimated = seed[store.steps_of(seed) != KNOWN]
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]} in the seed") from None
+    if estimated.size:
+        raise ValueError(f"seed node {estimated[0]} carries an estimated feature, not a known one")
     return PropagationState(
         featured=seed,
         excluded=_EMPTY,

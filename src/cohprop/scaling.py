@@ -34,6 +34,7 @@ __all__ = [
 
 DENSE_CUTOFF = 2000  # no sparse iteration below this size
 ZERO_INERTIA = 1e-12
+SVD_TOL = 1e-10  # convergence tolerance of the iterative sparse SVD
 
 
 class RankDeficiencyError(ValueError):
@@ -181,7 +182,6 @@ def _fix_signs(U: np.ndarray, Vt: np.ndarray):
 def correspondence_analysis(
     adj: BipartiteAdjacency,
     n_dims: int,
-    svd_tol: float = 1e-10,
     seed: int = 0,
 ) -> ScalingResult:
     """Correspondence analysis of a filtered 0/1 bipartite matrix.
@@ -247,7 +247,7 @@ def correspondence_analysis(
 
         op = LinearOperator((n_rows, n_cols), matvec=matvec, rmatvec=rmatvec, dtype=np.float64)
         v0 = np.random.default_rng(seed).standard_normal(min(n_rows, n_cols))
-        U, sigma, Vt = svds(op, k=n_dims, tol=svd_tol, v0=v0)
+        U, sigma, Vt = svds(op, k=n_dims, tol=SVD_TOL, v0=v0)
         order = np.argsort(sigma)[::-1]
         U, sigma, Vt = U[:, order], sigma[order], Vt[order, :]
 
@@ -285,12 +285,10 @@ def seed_features_from_scaling(
     """
     if result.n_dims < 1:
         raise ValueError("scaling result carries no dimensions")
+    dedup = dedup_map or {}
+    row_of = {label: i for i, label in enumerate(result.row_labels)}
+    labels = [*result.row_labels, *dedup]
     store = FeatureStore(result.n_dims)
-    coords_by_label = {
-        label: result.row_coords[i] for i, label in enumerate(result.row_labels)
-    }
-    for label, vec in coords_by_label.items():
-        store.set_known(graph.id_of(label), vec)
-    for dup, rep in (dedup_map or {}).items():
-        store.set_known(graph.id_of(dup), coords_by_label[rep])
+    store.set_known_many([graph.id_of(label) for label in labels],
+                         result.row_coords[[row_of[dedup.get(label, label)] for label in labels]])
     return store

@@ -156,6 +156,5 @@ def generate_planted(cfg: PlantedConfig):
     graph = DirectedGraph.from_edges(pairs, node_count=n)
 
     truth = FeatureStore(dim)
-    for v in range(n):
-        truth.set_known(v, feats[v])
+    truth.set_known_many(np.arange(n), feats)
     return graph, truth, elites

@@ -22,6 +22,5 @@ def store_from(vectors):
     """FeatureStore with known entries 0..k-1 from a list of vectors."""
     vectors = [np.atleast_1d(np.asarray(v, dtype=float)) for v in vectors]
     store = FeatureStore(vectors[0].size)
-    for i, vec in enumerate(vectors):
-        store.set_known(i, vec)
+    store.set_known_many(np.arange(len(vectors)), vectors)
     return store

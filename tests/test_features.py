@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cohprop import features
 from cohprop.features import (
+    KNOWN,
     FeatureStore,
     centroid,
     coherent_neighborhood,
@@ -82,6 +83,84 @@ class TestFeatureStore:
         assert len(sub) == 1 and 1 in sub
         with pytest.raises(KeyError):
             store.subset([5])
+
+
+# one write: (kind, batched, rng seed, batch size, fault, step); a fault makes
+# the write invalid when it applies (a repeat needs two rows, a taken node a
+# nonempty store)
+writes = st.tuples(
+    st.sampled_from(["known", "estimated"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 700),
+    st.sampled_from([None, None, "repeat", "taken", "nan", "inf"]),
+    st.integers(0, 4),
+)
+
+
+@given(st.lists(writes, max_size=20))
+def test_store_matches_dict_model(ops):
+    """Random single and batched writes against a dict of (vector, step).
+
+    Nodes come from 0..3999, so the table passes several doublings; a write
+    that fails must fail as a whole and leave every read unchanged.
+    """
+    dim, n_ids = 3, 4000
+    store, model = FeatureStore(dim), {}
+    for kind, batched, seed, size, fault, step in ops:
+        rng = np.random.default_rng(seed)
+        free = np.setdiff1d(np.arange(n_ids), list(model))
+        size = min(size if batched else 1, free.size)
+        if size == 0:
+            continue
+        nodes = rng.choice(free, size=size, replace=False)
+        values = rng.normal(size=(size, dim))
+        if fault == "repeat" and size > 1:
+            nodes[-1] = nodes[0]
+        elif fault == "taken" and model:
+            nodes[rng.integers(size)] = rng.choice(list(model))
+        elif fault in ("nan", "inf"):
+            values[rng.integers(size), rng.integers(dim)] = float(fault)
+        valid = (len(set(nodes.tolist())) == size and not any(v in model for v in nodes.tolist())
+                 and np.isfinite(values).all())
+        step = KNOWN if kind == "known" else step
+        try:
+            if batched and kind == "known":
+                store.set_known_many(nodes, values)
+            elif batched:
+                store.set_estimated_many(nodes, values, step)
+            elif kind == "known":
+                store.set_known(nodes[0], values[0])
+            else:
+                store.set_estimated(nodes[0], values[0], step)
+        except ValueError:
+            assert not valid
+        else:
+            assert valid
+            model.update((v, (vec, step)) for v, vec in zip(nodes.tolist(), values.tolist()))
+
+        present = sorted(model)
+        assert len(store) == len(model)
+        assert store.nodes().tolist() == present
+        rows = store.features_of(present).reshape(-1, dim)
+        assert rows.tolist() == [model[v][0] for v in present]
+        assert store.steps_of(present).tolist() == [model[v][1] for v in present]
+        probe = rng.choice(n_ids, size=20).tolist() + nodes.tolist()
+        for v in probe:
+            assert (v in store) == (v in model)
+            if v not in model:
+                with pytest.raises(KeyError):
+                    store.get(v)
+                continue
+            row = store.get(v)
+            assert row.tolist() == model[v][0] and store.provenance(v) == model[v][1]
+            with pytest.raises(ValueError):
+                row[0] = 0.0
+        sub = store.subset([v for v in probe if v in model])
+        kept = sorted({v for v in probe if v in model})
+        assert sub.nodes().tolist() == kept and len(sub) == len(kept)
+        assert sub.features_of(kept).reshape(-1, dim).tolist() == [model[v][0] for v in kept]
+        assert sub.steps_of(kept).tolist() == [model[v][1] for v in kept]
 
 
 class TestEstimationError:
@@ -340,6 +419,20 @@ class TestFeaturesCsv:
         path.write_text("node_label,f1\na,0.5\n")
         store = read_features_csv(path, g)
         assert store.is_known(g.id_of("a"))
+
+    def test_header_only_loads_empty(self, tmp_path):
+        path = tmp_path / "seed.csv"
+        path.write_text("node_label,f1,f2,provenance\n")
+        store = read_features_csv(path, load_edge_list(b"a,b\n"))
+        assert len(store) == 0 and store.dim == 2
+
+    @pytest.mark.parametrize("body", ["a,0.5,estimated:-1\n", "a,0.5,estimated:-2\n",
+                                      "a,0.5,pending\n", "a,0.5,known\na,0.5,estimated:0\n"])
+    def test_bad_provenance_or_repeated_label_rejected(self, tmp_path, body):
+        path = tmp_path / "seed.csv"
+        path.write_text("node_label,f1,provenance\n" + body)
+        with pytest.raises(ValueError):
+            read_features_csv(path, load_edge_list(b"a,b\n"))
 
     def test_unknown_label_rejected(self, tmp_path):
         g = load_edge_list(b"a,b\n")

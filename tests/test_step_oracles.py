@@ -8,7 +8,8 @@ inexact too, so estimates must match the oracle's first-member form. Each
 case runs up to three steps so that blacklisted and freshly estimated
 nodes feed the later steps. One fixed case checks that identical
 co-neighbors give back their common vector, which keeps their pivot
-coherent at threshold 0 in the next step.
+coherent at threshold 0 in the next step; so do random instances where
+every node has the same vector.
 """
 import numpy as np
 import pytest
@@ -58,8 +59,7 @@ def check_steps(inst, step, naive, **options):
 
 def check_built_steps(g, sg, feats, seed, d, eps, p, step, naive, **options):
     store = FeatureStore(feats.shape[1])
-    for v in seed.tolist():
-        store.set_known(v, feats[v])
+    store.set_known_many(seed, feats[seed])
     known = {v: feats[v].tolist() for v in seed.tolist()}
     featured, excluded = set(known), set()
     state = init_state(store, seed, d, eps)
@@ -87,6 +87,23 @@ def test_method_a_step_matches_oracle(inst):
 @given(instances, st.sampled_from(["pivot-features", "co-neighbors"]))
 def test_method_b_step_matches_oracle(inst, candidate_test):
     check_steps(inst, step_method_b, naive_step_method_b, candidate_test=candidate_test)
+
+
+@given(instances, st.sampled_from([0.1, 0.3, 0.7]))
+def test_constant_features_are_estimated_exactly(inst, c):
+    # every set of identical vectors is coherent at any threshold, 0 included,
+    # and its centroid is the vector itself, bit for bit
+    g, _, feats, seed = build(inst)
+    for step, options in [(step_method_a, {}),
+                          (step_method_b, {"candidate_test": "pivot-features"}),
+                          (step_method_b, {"candidate_test": "co-neighbors"})]:
+        store = FeatureStore(feats.shape[1])
+        store.set_known_many(seed, np.full((seed.size, feats.shape[1]), c))
+        state = init_state(store, seed, inst["direction"], inst["epsilon"])
+        for _ in range(STEPS):
+            added, rejected, state = step(state, g, store, p=inst["p"], **options)
+            assert rejected.size == 0
+            assert (store.features_of(added) == c).all()
 
 
 @pytest.mark.parametrize("candidate_test", ["pivot-features", "co-neighbors"])
