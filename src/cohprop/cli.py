@@ -59,6 +59,12 @@ def _resolve(out_dir: Path, path: str) -> Path:
     return p if p.is_absolute() else out_dir / p
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_manifest(out_dir: Path, subcommand: str, params: dict, inputs: dict[str, Path]) -> Path:
     manifest = {
         "subcommand": subcommand,
@@ -75,9 +81,7 @@ def write_manifest(out_dir: Path, subcommand: str, params: dict, inputs: dict[st
         },
     }
     path = out_dir / f"manifest_{subcommand}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, manifest)
     return path
 
 
@@ -121,9 +125,7 @@ def cmd_ingest(args, out_dir: Path) -> int:
         "duplicate_records_collapsed": g.duplicates_collapsed,
     }
     if args.stats:
-        with open(_resolve(out_dir, args.stats), "w", encoding="utf-8") as fh:
-            json.dump(stats, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(_resolve(out_dir, args.stats), stats)
     write_manifest(out_dir, "ingest", _public_params(args), {"graph": Path(args.graph)})
     print(json.dumps(stats))
     return 0
@@ -137,8 +139,7 @@ def cmd_scale(args, out_dir: Path) -> int:
     result = correspondence_analysis(filtered, n_dims=args.dims, seed=args.svd_seed)
 
     store = seed_features_from_scaling(result, dedup, g)
-    rows = [(g.label_of(v), vec) for v, vec in store.items()]
-    write_labeled_features_csv(_resolve(out_dir, args.out_rows), rows, result.n_dims)
+    write_features_csv(_resolve(out_dir, args.out_rows), store, g)
     write_labeled_features_csv(
         _resolve(out_dir, args.out_cols),
         zip(result.col_labels, result.col_coords),
@@ -154,9 +155,7 @@ def cmd_scale(args, out_dir: Path) -> int:
             "inertia_fractions": [float(f) for f in result.inertia_fractions],
             "total_inertia": result.total_inertia,
         }
-        with open(_resolve(out_dir, args.report), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(_resolve(out_dir, args.report), payload)
     write_manifest(
         out_dir, "scale", _public_params(args),
         {"graph": Path(args.graph), "elites": Path(args.elites)},
@@ -354,12 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    if "--config" not in argv:
-        return
     subcommand = next((a for a in argv if not a.startswith("-")), None)
     if subcommand == "generate":
         return  # generate's --config is the planted-graph settings, not run defaults
-    cfg_path = argv[argv.index("--config") + 1]
+    # the same spellings the full parser accepts (--config x, --config=x, --conf x);
+    # a missing value is left for the full parser to report as a usage error
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")
+    cfg_path = pre.parse_known_args(argv)[0].config
+    if cfg_path is None:
+        return
     with open(cfg_path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     defaults = dict(config.get("global", {}))

@@ -43,7 +43,7 @@ CSV_COLUMNS = (
     "coverage",
 )
 
-_STATS = ("mean", "median", "min", "max")
+# the aggregate stats, in report row order
 _STAT_FN = {"mean": np.mean, "median": np.median, "min": np.min, "max": np.max}
 
 
@@ -161,10 +161,33 @@ def spatial_uniform_sample(
     return np.array(sorted(picked), dtype=np.int64)
 
 
-def _error_stats(errors: np.ndarray) -> dict[str, Optional[float]]:
-    if errors.size == 0:
-        return {stat: None for stat in _STATS}
-    return {stat: float(_STAT_FN[stat](errors)) for stat in _STATS}
+def _first_steps(step, g, truth, seed, direction, epsilon_grid, **kwargs):
+    """One ``step`` from ``seed`` per threshold, each on a fresh store of the seed's truth.
+
+    Yields ``(eps, added, pivots, store)``, ``store`` holding the step's estimates.
+    """
+    for eps in epsilon_grid:
+        store = truth.subset(seed)
+        state = init_state(store, seed, direction, eps)
+        added, _, state = step(state, g, store, **kwargs)
+        yield eps, added, state.history[-1].pivots, store
+
+
+def _stat_rows(eps, method, direction, errors, **columns) -> list[ReportRow]:
+    """One aggregate row per stat: ``error`` is the stat of ``errors`` (None when empty).
+
+    A list-valued column is reduced by the same stat; a scalar column is copied.
+    """
+    errors = np.asarray(errors, dtype=np.float64)
+    return [
+        ReportRow(
+            epsilon=float(eps), method=method, direction=direction.value, fold=None, stat=stat,
+            error=float(fn(errors)) if errors.size else None,
+            **{key: float(fn(val)) if isinstance(val, list) else val
+               for key, val in columns.items()},
+        )
+        for stat, fn in _STAT_FN.items()
+    ]
 
 
 def sweep_method_a(
@@ -193,28 +216,15 @@ def sweep_method_a(
             "seed_size": int(seed_arr.size),
         }
     )
-    for eps in epsilon_grid:
-        working = truth.subset(seed_arr)
-        state = init_state(working, seed_arr, direction, eps)
-        added, _, _ = step_method_a(state, g, working, p=p)
+    for eps, added, _, working in _first_steps(
+        step_method_a, g, truth, seed_arr, direction, epsilon_grid, p=p
+    ):
         scored = np.array([v for v in added.tolist() if v in truth], dtype=np.int64)
-        errors = np.linalg.norm(
-            working.features_of(scored) - truth.features_of(scored), ord=p, axis=1
+        diffs = working.features_of(scored) - truth.features_of(scored)
+        report.rows += _stat_rows(
+            eps, "a", direction, np.linalg.norm(diffs, ord=p, axis=1),
+            size_delta_v=float(added.size), size_pivots=None, coverage=None,
         )
-        for stat, value in _error_stats(errors).items():
-            report.rows.append(
-                ReportRow(
-                    epsilon=float(eps),
-                    method="a",
-                    direction=direction.value,
-                    fold=None,
-                    stat=stat,
-                    error=value,
-                    size_delta_v=float(added.size),
-                    size_pivots=None,
-                    coverage=None,
-                )
-            )
     return report
 
 
@@ -235,7 +245,7 @@ def kfold_eval_method_b(
     threshold, the remaining pool members seed one method-B step; the
     recovered set is the intersection of the additions with the fold, and
     coverage is its share of the fold. Per-threshold aggregate rows carry
-    the median/min/max (and mean) over folds.
+    the median/min/max (and mean) over the fold rows of that threshold.
     """
     p = validate_norm_order(p)
     pool_arr = as_node_array(pool, g.node_count)
@@ -261,60 +271,32 @@ def kfold_eval_method_b(
         }
     )
 
-    per_eps: dict[float, dict[str, list]] = {}
     for fold_idx, fold in enumerate(folds):
         held_out = node_mask(fold, g.node_count)
         train = pool_arr[~held_out[pool_arr]]
-        for eps in epsilon_grid:
-            working = truth.subset(train)
-            state = init_state(working, train, direction, eps)
-            added, _, state = step_method_b(
-                state, g, working, p=p, candidate_test=candidate_test
-            )
+        for eps, added, pivots, working in _first_steps(
+            step_method_b, g, truth, train, direction, epsilon_grid,
+            p=p, candidate_test=candidate_test,
+        ):
             recovered = added[held_out[added]]
-            pivots = state.history[-1].pivots
-            coverage = recovered.size / fold.size
-            err = mean_error(recovered, working, truth, p) if recovered.size else None
-            report.rows.append(
-                ReportRow(
-                    epsilon=float(eps),
-                    method="b",
-                    direction=direction.value,
-                    fold=fold_idx,
-                    stat="mean",
-                    error=err,
-                    size_delta_v=float(added.size),
-                    size_pivots=float(pivots),
-                    coverage=float(coverage),
-                )
-            )
-            bucket = per_eps.setdefault(
-                float(eps), {"error": [], "coverage": [], "size": [], "pivots": []}
-            )
-            if err is not None:
-                bucket["error"].append(err)
-            bucket["coverage"].append(coverage)
-            bucket["size"].append(float(added.size))
-            bucket["pivots"].append(float(pivots))
+            report.rows.append(ReportRow(
+                epsilon=float(eps), method="b", direction=direction.value, fold=fold_idx,
+                stat="mean",
+                error=mean_error(recovered, working, truth, p) if recovered.size else None,
+                size_delta_v=float(added.size), size_pivots=float(pivots),
+                coverage=float(recovered.size / fold.size),
+            ))
 
+    # a threshold listed twice pools the fold rows of both copies
+    fold_rows = list(report.rows)
     for eps in epsilon_grid:
-        bucket = per_eps[float(eps)]
-        errors = np.array(bucket["error"]) if bucket["error"] else None
-        for stat in _STATS:
-            fn = _STAT_FN[stat]
-            report.rows.append(
-                ReportRow(
-                    epsilon=float(eps),
-                    method="b",
-                    direction=direction.value,
-                    fold=None,
-                    stat=stat,
-                    error=None if errors is None else float(fn(errors)),
-                    size_delta_v=float(fn(bucket["size"])),
-                    size_pivots=float(fn(bucket["pivots"])),
-                    coverage=float(fn(bucket["coverage"])),
-                )
-            )
+        rows = [r for r in fold_rows if r.epsilon == float(eps)]
+        report.rows += _stat_rows(
+            eps, "b", direction, [r.error for r in rows if r.error is not None],
+            size_delta_v=[r.size_delta_v for r in rows],
+            size_pivots=[r.size_pivots for r in rows],
+            coverage=[r.coverage for r in rows],
+        )
     return report
 
 

@@ -193,11 +193,17 @@ def mean_error(nodes, estimates: FeatureStore, truth: FeatureStore, p=2.0) -> fl
 
 
 def centroid(nodes, store: FeatureStore) -> np.ndarray:
-    """Component-wise mean feature vector of a nonempty node set."""
+    """Component-wise mean feature vector of a nonempty node set.
+
+    Measured from the set's first node like every centroid of the gate, so
+    identical vectors give back their common value exactly.
+    """
     nodes = as_node_array(nodes)
     if nodes.size == 0:
         raise ValueError("centroid of an empty node set is undefined")
-    return store.features_of(nodes).mean(axis=0)
+    _, centers = _group_stats(store.features_of(nodes), np.arange(nodes.size),
+                              np.array([0, nodes.size]))
+    return centers[0]
 
 
 def incoherence(nodes, store: FeatureStore, p=2.0) -> float:

@@ -181,6 +181,26 @@ class TestConfigAndEnv:
         assert rc == 0
         assert (out / "stats.json").exists()
 
+    @pytest.mark.parametrize("spelling", ["--config {}", "--config={}", "--conf {}"])
+    def test_config_spellings(self, workspace, spelling):
+        out = workspace / "spelled"
+        cfg = workspace / "prop.json"
+        cfg.write_text(json.dumps({"propagate": {"log": "from_cfg.csv"}}))
+        rc = main(["propagate", *spelling.format(cfg).split(" "),
+                   "--method", "a", "--direction", "up", "--epsilon", "0.5",
+                   "--max-steps", "1", "--graph", str(workspace / "edges.csv"),
+                   "--seed-features", str(workspace / "seed.csv"),
+                   "--out", "p.csv", "--out-dir", str(out)])
+        assert rc == 0
+        assert (out / "from_cfg.csv").exists()
+
+    def test_config_without_value_is_usage_error(self, workspace, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--graph", str(workspace / "edges.csv"),
+                  "--out-labels", "labels.csv", "--config"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, workspace, capsys):
         cfg = workspace / "bad.json"
         cfg.write_text(json.dumps({"ingest": {"bogus_flag": 1}}))

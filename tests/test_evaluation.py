@@ -12,9 +12,9 @@ from cohprop.evaluation import (
     spatial_uniform_sample,
     sweep_method_a,
 )
-from cohprop.features import FeatureStore
+from cohprop.features import FeatureStore, estimation_error
 from cohprop.graph import DirectedGraph, Direction
-from cohprop.method_a import init_state
+from cohprop.method_a import init_state, step_method_a
 from cohprop.method_b import step_method_b
 from cohprop.synthetic import PlantedConfig, generate_planted
 from conftest import store_from
@@ -180,6 +180,87 @@ class TestKfoldMethodB:
             kfold_eval_method_b(g, truth, [0, 1, 2], 4, Direction.UP, [0.5], seed=0)
         with pytest.raises(ValueError):
             kfold_eval_method_b(g, truth, [0, 1, 2], 1, Direction.UP, [0.5], seed=0)
+
+
+STAT_FN = {"mean": np.mean, "median": np.median, "min": np.min, "max": np.max}
+CANDIDATE_TESTS = ["pivot-features", "co-neighbors"]
+
+
+def planted_kfold(grid, candidate_test, k=8):
+    cfg = PlantedConfig(n_nodes=400, n_elites=10, beta=4.0, mean_out_degree=6.0, seed=6)
+    g, truth, _ = generate_planted(cfg)
+    pool = spatial_uniform_sample(truth, np.arange(400), 60, grid_bins=6, seed=2)
+    return kfold_eval_method_b(g, truth, pool, k, Direction.UP, grid, seed=9,
+                               candidate_test=candidate_test)
+
+
+def assert_aggregates_of(report, eps, n_copies):
+    """Every aggregate row of ``eps`` is the numpy stat of its fold rows."""
+    folds = [r for r in report.rows if r.fold is not None and r.epsilon == eps]
+    errors = [r.error for r in folds if r.error is not None]
+    aggregates = report.rows_where(fold=None, epsilon=eps)
+    assert [r.stat for r in aggregates] == list(STAT_FN) * n_copies
+    for row in aggregates:
+        fn = STAT_FN[row.stat]
+        assert row.error == (float(fn(errors)) if errors else None)
+        assert row.size_delta_v == float(fn([r.size_delta_v for r in folds]))
+        assert row.size_pivots == float(fn([r.size_pivots for r in folds]))
+        assert row.coverage == float(fn([r.coverage for r in folds]))
+    return folds
+
+
+class TestAggregationContract:
+    @pytest.mark.parametrize("candidate_test", CANDIDATE_TESTS)
+    def test_kfold_fold_rows_then_their_stats(self, candidate_test):
+        grid = [0.4, 0.05, 0.2]
+        report = planted_kfold(grid, candidate_test)
+        keys = [(r.fold, r.epsilon, r.stat) for r in report.rows]
+        assert keys == [(f, e, "mean") for f in range(8) for e in grid] + [
+            (None, e, s) for e in grid for s in STAT_FN
+        ]
+        for eps in grid:
+            folds = assert_aggregates_of(report, eps, 1)
+            # some folds recover nobody: their absent errors are left out
+            assert any(r.error is None for r in folds)
+            assert any(r.error is not None for r in folds)
+
+    def test_kfold_error_absent_when_no_fold_recovers(self):
+        g = DirectedGraph.from_edges([(0, 3), (1, 4), (2, 5)], node_count=6)
+        truth = store_from([[0.0], [0.1], [0.2]])
+        report = kfold_eval_method_b(g, truth, [0, 1, 2], 3, Direction.UP, [0.5], seed=0)
+        folds = assert_aggregates_of(report, 0.5, 1)
+        assert len(folds) == 3 and all(r.error is None for r in folds)
+        assert all(r.error is None for r in report.rows_where(fold=None))
+
+    @pytest.mark.parametrize("candidate_test", CANDIDATE_TESTS)
+    def test_kfold_repeated_threshold_pools_both_copies(self, candidate_test):
+        grid = [0.2, 0.4, 0.2]
+        report = planted_kfold(grid, candidate_test)
+        assert len(report.rows) == 8 * 3 + 4 * 3
+        assert len(assert_aggregates_of(report, 0.2, 2)) == 2 * 8
+        assert len(assert_aggregates_of(report, 0.4, 1)) == 8
+        assert [r.epsilon for r in report.rows_where(fold=None)] == [0.2] * 4 + [0.4] * 4 + [0.2] * 4
+
+    def test_sweep_stats_over_scored_additions(self):
+        cfg = PlantedConfig(n_nodes=300, n_elites=8, beta=3.0, mean_out_degree=6.0, seed=4)
+        g, full, _ = generate_planted(cfg)
+        seed = spatial_uniform_sample(full, np.arange(300), 60, grid_bins=6, seed=0)
+        # a truth store without every third node, so some additions go unscored
+        truth = full.subset(np.union1d(seed, np.arange(0, 300, 3)))
+        grid, p = [0.1, 0.6], 1.5
+        report = sweep_method_a(g, truth, seed, Direction.UP, grid, p=p)
+        assert [(r.epsilon, r.stat) for r in report.rows] == [(e, s) for e in grid for s in STAT_FN]
+        for eps in grid:
+            work = truth.subset(seed)
+            added, _, _ = step_method_a(init_state(work, seed, Direction.UP, eps), g, work, p=p)
+            scored = [v for v in added.tolist() if v in truth]
+            assert 0 < len(scored) < added.size
+            errors = [estimation_error(work.get(v), truth.get(v), p) for v in scored]
+            for row in report.rows_where(epsilon=eps):
+                # a vector norm and a row norm may differ in the last bit
+                assert row.error == pytest.approx(float(STAT_FN[row.stat](errors)), rel=1e-12)
+                assert row.size_delta_v == float(added.size)
+                assert row.size_pivots is None and row.coverage is None
 
 
 class TestReportSerialization:

@@ -20,6 +20,7 @@ from cohprop.features import (
 from cohprop.graph import DirectedGraph, Direction, UnknownNodeError, load_edge_list
 from conftest import store_from
 from oracles import (
+    naive_centroid,
     naive_coherent_neighborhood,
     naive_error,
     naive_incoherence,
@@ -232,6 +233,16 @@ class TestCentroid:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             centroid([], store_from([[1.0]]))
+
+    def test_identical_vectors_exact(self):
+        # a plain mean gives 0.10000000000000002
+        assert centroid([0, 1, 2], store_from([[0.1]] * 3)).tolist() == [0.1]
+
+    @given(st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.lists(finite, min_size=d, max_size=d), min_size=1, max_size=5)))
+    def test_matches_oracle_bit_for_bit(self, vecs):
+        # the same formula as method A's estimates and the gate
+        assert centroid(range(len(vecs)), store_from(vecs)).tolist() == naive_centroid(vecs)
 
 
 class TestIncoherence:
