@@ -28,6 +28,7 @@ from .evaluation import (
     sweep_method_a,
 )
 from .features import (
+    _write_json,
     read_features_csv,
     write_features_csv,
     write_labeled_features_csv,
@@ -57,12 +58,6 @@ def _sha256(path: Path) -> str:
 def _resolve(out_dir: Path, path: str) -> Path:
     p = Path(path)
     return p if p.is_absolute() else out_dir / p
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_manifest(out_dir: Path, subcommand: str, params: dict, inputs: dict[str, Path]) -> Path:

@@ -6,20 +6,26 @@ K-fold protocol holds out one fold of the seed at a time, runs one
 method-B step from the rest, and reports the error and coverage of the
 recovered fold members, aggregated over folds with median/min/max (mean is
 recorded too). Reports serialize to a fixed CSV schema and to JSON.
+
+Both protocols open the coherence gate of each seed once for the whole
+grid, since it does not depend on the threshold, and estimate only the
+additions they score; their rows equal those of one whole step per
+threshold, bit for bit.
 """
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .features import FeatureStore, mean_error, validate_norm_order
+from .features import FeatureStore, _validate_epsilon, _write_json, validate_norm_order
 from .graph import DirectedGraph, Direction, as_node_array, node_mask
-from .method_a import init_state, step_method_a
-from .method_b import step_method_b
+from .method_a import _accept_a, _open_gate, init_state
+from .method_a import step_method_a  # noqa: F401  (perfbench/spans.py wraps it here)
+from .method_b import _accept_b
+from .method_b import step_method_b  # noqa: F401  (perfbench/spans.py wraps it here)
 
 __all__ = [
     "CSV_COLUMNS",
@@ -102,10 +108,7 @@ class EvaluationReport:
                 )
 
     def to_json(self, path) -> None:
-        payload = {"metadata": self.metadata, "rows": [asdict(r) for r in self.rows]}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, {"metadata": self.metadata, "rows": [asdict(r) for r in self.rows]})
 
 
 def spatial_uniform_sample(
@@ -161,16 +164,28 @@ def spatial_uniform_sample(
     return np.array(sorted(picked), dtype=np.int64)
 
 
-def _first_steps(step, g, truth, seed, direction, epsilon_grid, **kwargs):
-    """One ``step`` from ``seed`` per threshold, each on a fresh store of the seed's truth.
+def _first_steps(accept, g, truth, seed, direction, epsilon_grid, scored, p, **kwargs):
+    """The first step of a method from ``seed`` at each threshold, estimating only scored nodes.
 
-    Yields ``(eps, added, pivots, store)``, ``store`` holding the step's estimates.
+    ``accept`` is a method's threshold rule (``method_a._accept_a`` or
+    ``method_b._accept_b``). The seed's truth is checked and gathered once
+    and its coherence gate is opened once, since neither depends on the
+    threshold; each threshold then applies the rule to that gate. Only the
+    additions in the node mask ``scored`` are estimated, and nothing is
+    written to a store. Yields ``(eps, outcome)`` in grid order.
     """
-    for eps in epsilon_grid:
-        store = truth.subset(seed)
-        state = init_state(store, seed, direction, eps)
-        added, _, state = step(state, g, store, **kwargs)
-        yield eps, added, state.history[-1].pivots, store
+    grid = list(epsilon_grid)
+    if not grid:
+        return
+    table = truth.features_of(seed)  # KeyError for a seed node without truth
+    gate = _open_gate(init_state(truth, seed, direction, grid[0]), g, table, p)
+    for eps in grid:
+        yield eps, accept(gate, _validate_epsilon(eps), scored, **kwargs)
+
+
+def _errors(outcome, truth: FeatureStore, p: float) -> np.ndarray:
+    """p-norm error of each estimated node of a step outcome against its truth."""
+    return np.linalg.norm(outcome.estimates - truth.features_of(outcome.estimated), ord=p, axis=1)
 
 
 def _stat_rows(eps, method, direction, errors, **columns) -> list[ReportRow]:
@@ -216,14 +231,14 @@ def sweep_method_a(
             "seed_size": int(seed_arr.size),
         }
     )
-    for eps, added, _, working in _first_steps(
-        step_method_a, g, truth, seed_arr, direction, epsilon_grid, p=p
+    known = truth.nodes()
+    in_truth = node_mask(known[(known >= 0) & (known < g.node_count)], g.node_count)
+    for eps, step in _first_steps(
+        _accept_a, g, truth, seed_arr, direction, epsilon_grid, in_truth, p
     ):
-        scored = np.array([v for v in added.tolist() if v in truth], dtype=np.int64)
-        diffs = working.features_of(scored) - truth.features_of(scored)
         report.rows += _stat_rows(
-            eps, "a", direction, np.linalg.norm(diffs, ord=p, axis=1),
-            size_delta_v=float(added.size), size_pivots=None, coverage=None,
+            eps, "a", direction, _errors(step, truth, p),
+            size_delta_v=float(step.added.size), size_pivots=None, coverage=None,
         )
     return report
 
@@ -274,16 +289,16 @@ def kfold_eval_method_b(
     for fold_idx, fold in enumerate(folds):
         held_out = node_mask(fold, g.node_count)
         train = pool_arr[~held_out[pool_arr]]
-        for eps, added, pivots, working in _first_steps(
-            step_method_b, g, truth, train, direction, epsilon_grid,
-            p=p, candidate_test=candidate_test,
+        for eps, step in _first_steps(
+            _accept_b, g, truth, train, direction, epsilon_grid, held_out, p,
+            candidate_test=candidate_test,
         ):
-            recovered = added[held_out[added]]
+            recovered = step.estimated
             report.rows.append(ReportRow(
                 epsilon=float(eps), method="b", direction=direction.value, fold=fold_idx,
                 stat="mean",
-                error=mean_error(recovered, working, truth, p) if recovered.size else None,
-                size_delta_v=float(added.size), size_pivots=float(pivots),
+                error=float(np.mean(_errors(step, truth, p))) if recovered.size else None,
+                size_delta_v=float(step.added.size), size_pivots=float(step.pivots),
                 coverage=float(recovered.size / fold.size),
             ))
 

@@ -18,6 +18,7 @@ its row of :func:`cohprop.graph.incidence` against that set.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from itertools import count
 from typing import Iterable, Iterator, Mapping
@@ -266,18 +267,19 @@ def _validate_epsilon(epsilon) -> float:
     return epsilon
 
 
-def _gate(g: DirectedGraph, store: FeatureStore, V: np.ndarray, direction: Direction, p: float):
+def _gate(g: DirectedGraph, table: np.ndarray, V: np.ndarray, direction: Direction, p: float):
     """The coherence gate: ``(cand, inc, centers)`` for the sorted featured set V.
 
-    ``cand`` is ``g.neighborhood(V, direction)``. Entry k of ``inc`` and
-    ``centers`` is the incoherence and centroid of cand[k]'s back-connections
-    into V, its row of the opposite-direction incidence against V. That row
-    is nonempty because cand[k] was reached from V. Callers apply their own
-    rule to the result; every node of V needs features (``KeyError``).
+    ``table`` holds the features of V, row k for V[k]. ``cand`` is
+    ``g.neighborhood(V, direction)``. Entry k of ``inc`` and ``centers`` is
+    the incoherence and centroid of cand[k]'s back-connections into V, its
+    row of the opposite-direction incidence against V. That row is nonempty
+    because cand[k] was reached from V. Callers apply their own rule to the
+    result.
     """
     cand = g.neighborhood(V, direction)
     M = incidence(g, cand, V, direction.opposite)
-    inc, centers = _group_stats(store.features_of(V), M.indices, M.indptr, p)
+    inc, centers = _group_stats(table, M.indices, M.indptr, p)
     return cand, inc, centers
 
 
@@ -299,11 +301,19 @@ def coherent_neighborhood(
     """
     p = validate_norm_order(p)
     epsilon = _validate_epsilon(epsilon)
-    cand, inc, _ = _gate(g, store, as_node_array(nodes, g.node_count), direction, p)
+    V = as_node_array(nodes, g.node_count)
+    cand, inc, _ = _gate(g, store.features_of(V), V, direction, p)
     return cand[inc <= epsilon]
 
 
-# -- CSV interchange ---------------------------------------------------------
+# -- CSV and JSON interchange ------------------------------------------------
+
+
+def _write_json(path, payload) -> None:
+    """The one JSON writer of the package: sorted keys, 2-space indent, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_features_csv(

@@ -10,7 +10,7 @@ node can never become coherent later through freshly propagated features.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -116,6 +116,73 @@ def _advance(
     )
 
 
+@dataclass(frozen=True)
+class _Gate:
+    """The threshold-free half of a step from ``state``: its coherence gate.
+
+    ``table`` holds the features of ``state.featured`` in its order, and
+    ``cand``, ``inc`` and ``centers`` are what ``features._gate`` returns
+    for it on ``g`` at norm order ``p``. ``featured`` and ``excluded`` are
+    node masks of the state's sets; ``fresh[k]`` is true when cand[k] is in
+    neither. A first-step protocol opens one gate per seed and applies
+    every threshold to it.
+    """
+
+    g: DirectedGraph
+    p: float
+    state: PropagationState
+    table: np.ndarray
+    cand: np.ndarray
+    inc: np.ndarray
+    centers: np.ndarray
+    featured: np.ndarray
+    excluded: np.ndarray
+    fresh: np.ndarray
+
+
+def _open_gate(state: PropagationState, g: DirectedGraph, table: np.ndarray, p: float) -> _Gate:
+    """Gate the neighbours of ``state.featured``, whose features ``table`` holds."""
+    cand, inc, centers = _gate(g, table, state.featured, state.direction, p)
+    featured = node_mask(state.featured, g.node_count)
+    excluded = node_mask(state.excluded, g.node_count)
+    return _Gate(g, p, state, table, cand, inc, centers, featured, excluded,
+                 ~(featured[cand] | excluded[cand]))
+
+
+def _blacklist(gate: _Gate, ok: np.ndarray) -> np.ndarray:
+    """Fresh candidates that fail the gate (``ok`` false): both methods blacklist them."""
+    return gate.cand[gate.fresh & ~ok]
+
+
+class _Outcome(NamedTuple):
+    """A step's result at one threshold, before anything is committed.
+
+    ``estimated`` are the additions a caller asked estimates for, and row k
+    of ``estimates`` belongs to estimated[k]. ``pivots`` is a pivot count
+    (method B) or None (method A).
+    """
+
+    added: np.ndarray
+    rejected: np.ndarray
+    pivots: Optional[int]
+    estimated: np.ndarray
+    estimates: np.ndarray
+
+
+def _accept_a(gate: _Gate, epsilon: float, scored: Optional[np.ndarray] = None) -> _Outcome:
+    """Method A's rule at ``epsilon`` over an open gate.
+
+    Fresh candidates within the threshold are added, estimated as their
+    gate centroid; the others are blacklisted. With a node mask ``scored``
+    only the additions in it are estimated.
+    """
+    ok = gate.inc <= epsilon
+    accept = gate.fresh & ok
+    rows = accept if scored is None else accept & scored[gate.cand]
+    return _Outcome(gate.cand[accept], _blacklist(gate, ok), None,
+                    gate.cand[rows], gate.centers[rows])
+
+
 def step_method_a(
     state: PropagationState,
     g: DirectedGraph,
@@ -133,13 +200,9 @@ def step_method_a(
     empty deltas.
     """
     p = validate_norm_order(p)
-    cand, inc, centers = _gate(g, store, state.featured, state.direction, p)
-    fresh = ~node_mask(np.concatenate((state.featured, state.excluded)), g.node_count)[cand]
-    ok = inc <= state.epsilon
-    added = cand[fresh & ok]
-    rejected = cand[fresh & ~ok]
-
-    store.set_estimated_many(added, centers[fresh & ok], state.step)
+    gate = _open_gate(state, g, store.features_of(state.featured), p)
+    added, rejected, _, _, estimates = _accept_a(gate, state.epsilon)
+    store.set_estimated_many(added, estimates, state.step)
     return added, rejected, _advance(state, added, rejected)
 
 

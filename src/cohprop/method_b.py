@@ -20,13 +20,16 @@ is products of :func:`cohprop.graph.incidence` matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
-from .features import FeatureStore, _gate, _group_stats, validate_norm_order
-from .graph import DirectedGraph, Direction, as_node_array, incidence, node_mask
+from .features import FeatureStore, _group_stats, validate_norm_order
+from .graph import DirectedGraph, Direction, as_node_array, incidence
 from .graph import grouped_restricted_neighbors  # noqa: F401  (perfbench/spans.py wraps it here)
-from .method_a import PropagationResult, PropagationState, _advance, _run
+from .method_a import (PropagationResult, PropagationState, _advance, _blacklist, _Gate,
+                       _open_gate, _Outcome, _run)
 
 __all__ = [
     "PivotSet",
@@ -55,6 +58,18 @@ class PivotSet:
         return int(self.nodes.size)
 
 
+def _split_pivots(gate: _Gate, epsilon: float) -> tuple[PivotSet, np.ndarray]:
+    """Method B's pivot rule at ``epsilon``: ``(pivots, newly_excluded)``.
+
+    Gated candidates within the threshold that are not blacklisted become
+    pivots, with their gate centroid as provisional feature; the fresh
+    ones beyond it are blacklisted.
+    """
+    ok = gate.inc <= epsilon
+    keep = ok & ~gate.excluded[gate.cand]
+    return PivotSet(gate.cand[keep], gate.centers[keep], gate.state.step), _blacklist(gate, ok)
+
+
 def compute_pivots(
     state: PropagationState,
     g: DirectedGraph,
@@ -70,12 +85,8 @@ def compute_pivots(
     normal outcome.
     """
     p = validate_norm_order(p)
-    cand, inc, centers = _gate(g, store, state.featured, state.direction, p)
-    ok = inc <= state.epsilon
-    not_excluded = ~node_mask(state.excluded, g.node_count)[cand]
-    keep = ok & not_excluded
-    rejected = cand[~ok & not_excluded & ~node_mask(state.featured, g.node_count)[cand]]
-    return PivotSet(cand[keep], centers[keep], state.step), rejected
+    gate = _open_gate(state, g, store.features_of(state.featured), p)
+    return _split_pivots(gate, state.epsilon)
 
 
 def co_neighbors(g: DirectedGraph, v: int, pivots, members, direction: Direction) -> np.ndarray:
@@ -91,6 +102,51 @@ def co_neighbors(g: DirectedGraph, v: int, pivots, members, direction: Direction
     C = incidence(g, np.array([v], dtype=np.int64), pnodes, direction)
     pattern = C @ incidence(g, pnodes, members, direction.opposite)
     return members[np.sort(pattern.indices)]
+
+
+def _co_neighbor_stats(C: sparse.csr_array, B: sparse.csr_array, table: np.ndarray, p=None):
+    """``_group_stats`` of each row's co-neighbor set: its row of the 0/1 pattern of C @ B."""
+    pattern = C @ B
+    pattern.sort_indices()  # each set measured from its first member, in node order
+    return _group_stats(table, pattern.indices, pattern.indptr, p)
+
+
+def _accept_b(gate: _Gate, epsilon: float, scored: Optional[np.ndarray] = None,
+              candidate_test: str = "pivot-features") -> _Outcome:
+    """Method B's rule at ``epsilon`` over an open gate.
+
+    Pivots and blacklist come from :func:`_split_pivots`. The fresh
+    candidates behind the pivots that pass the candidate test are added,
+    estimated as the centroid of their co-neighbors. With a node mask
+    ``scored`` only the additions in it are estimated; the co-neighbors
+    test still measures every candidate's co-neighbor set.
+    """
+    if candidate_test not in CANDIDATE_TESTS:
+        raise ValueError(f"candidate_test must be one of {CANDIDATE_TESTS}")
+    pivots, rejected = _split_pivots(gate, epsilon)
+    g, d = gate.g, gate.state.direction
+    blocked = gate.featured | gate.excluded
+    blocked[rejected] = True  # same-step pivot failures cannot be featured
+    reach = g.neighborhood(pivots.nodes, d.opposite)
+    added = reach[~blocked[reach]]
+
+    C = incidence(g, added, pivots.nodes, d)
+    B = incidence(g, pivots.nodes, gate.state.featured, d.opposite)
+    if candidate_test == "pivot-features":
+        inc, _ = _group_stats(pivots.features, C.indices, C.indptr, gate.p)
+        ok = inc <= epsilon
+        added, C = added[ok], C[ok]
+        if scored is not None:
+            C = C[scored[added]]
+        _, estimates = _co_neighbor_stats(C, B, gate.table)
+    else:
+        inc, estimates = _co_neighbor_stats(C, B, gate.table, gate.p)
+        ok = inc <= epsilon
+        added, estimates = added[ok], estimates[ok]
+        if scored is not None:
+            estimates = estimates[scored[added]]
+    estimated = added if scored is None else added[scored[added]]
+    return _Outcome(added, rejected, len(pivots), estimated, estimates)
 
 
 def step_method_b(
@@ -113,38 +169,15 @@ def step_method_b(
     identical co-neighbors give back their common vector exactly. Every
     fresh candidate has a pivot (it was reached through one), and every
     pivot has a featured back-connection (it passed the gate on one), so
-    every co-neighbor set is nonempty.
+    every co-neighbor set is nonempty. The featured set's features are
+    gathered once, for the gate and the estimates.
     """
     p = validate_norm_order(p)
-    if candidate_test not in CANDIDATE_TESTS:
-        raise ValueError(f"candidate_test must be one of {CANDIDATE_TESTS}")
-    pivots, rejected = compute_pivots(state, g, store, p=p)
-    n = g.node_count
-    V = state.featured
-    featured_mask = node_mask(V, n)
-    blocked_mask = node_mask(state.excluded, n)
-    blocked_mask[rejected] = True  # same-step pivot failures cannot be featured
-    d = state.direction
-
-    reach = g.neighborhood(pivots.nodes, d.opposite)
-    added = reach[~featured_mask[reach] & ~blocked_mask[reach]]
-
-    C = incidence(g, added, pivots.nodes, d)
-    if candidate_test == "pivot-features":
-        inc, _ = _group_stats(pivots.features, C.indices, C.indptr, p)
-        ok = inc <= state.epsilon
-        added, C = added[ok], C[ok]
-    pattern = C @ incidence(g, pivots.nodes, V, d.opposite)
-    pattern.sort_indices()  # each set measured from its first member, in node order
-    co_test = candidate_test == "co-neighbors"
-    inc, estimates = _group_stats(store.features_of(V), pattern.indices, pattern.indptr,
-                                  p if co_test else None)
-    if co_test:
-        ok = inc <= state.epsilon
-        added, estimates = added[ok], estimates[ok]
-
+    gate = _open_gate(state, g, store.features_of(state.featured), p)
+    added, rejected, pivots, _, estimates = _accept_b(gate, state.epsilon,
+                                                      candidate_test=candidate_test)
     store.set_estimated_many(added, estimates, state.step)
-    return added, rejected, _advance(state, added, rejected, pivots=len(pivots))
+    return added, rejected, _advance(state, added, rejected, pivots=pivots)
 
 
 def run_method_b(

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import FeatureStore
+from .features import FeatureStore, _write_json
 from .graph import DirectedGraph
 
 __all__ = ["PlantedConfig", "generate_planted"]
@@ -64,9 +64,7 @@ class PlantedConfig:
             )
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, asdict(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlantedConfig":

@@ -6,7 +6,11 @@ import math
 
 import numpy as np
 
-from cohprop.graph import DirectedGraph, Direction
+from cohprop.evaluation import ReportRow, _stat_rows
+from cohprop.features import mean_error, validate_norm_order
+from cohprop.graph import DirectedGraph, Direction, as_node_array, node_mask
+from cohprop.method_a import init_state, step_method_a
+from cohprop.method_b import step_method_b
 
 
 def naive_neighbors(edges, v, direction):
@@ -194,3 +198,72 @@ def naive_step_method_b(sg, features, featured, excluded, direction, epsilon, p,
             added.add(c)
             estimates[c] = naive_centroid(pooled)
     return added, rejected, estimates
+
+
+def reference_first_steps(step, g, truth, seed, direction, epsilon_grid, **kwargs):
+    """The per-threshold step loop that the first-step protocols must reproduce.
+
+    Each threshold gets a fresh store of the seed's truth, its own
+    ``init_state`` and one whole step, which gates every candidate and
+    commits every estimate. Yields ``(eps, added, pivots, store)``.
+    """
+    for eps in epsilon_grid:
+        store = truth.subset(seed)
+        state = init_state(store, seed, direction, eps)
+        added, _, state = step(state, g, store, **kwargs)
+        yield eps, added, state.history[-1].pivots, store
+
+
+def reference_sweep_rows(g, truth, seed_set, direction, epsilon_grid, p=2.0):
+    """Rows of ``sweep_method_a``, one whole method-A step per threshold."""
+    p = validate_norm_order(p)
+    rows = []
+    for eps, added, _, working in reference_first_steps(
+        step_method_a, g, truth, as_node_array(seed_set), direction, epsilon_grid, p=p
+    ):
+        scored = np.array([v for v in added.tolist() if v in truth], dtype=np.int64)
+        diffs = working.features_of(scored) - truth.features_of(scored)
+        rows += _stat_rows(
+            eps, "a", direction, np.linalg.norm(diffs, ord=p, axis=1),
+            size_delta_v=float(added.size), size_pivots=None, coverage=None,
+        )
+    return rows
+
+
+def reference_kfold_rows(g, truth, pool, k, direction, epsilon_grid, seed, p=2.0,
+                         candidate_test="pivot-features"):
+    """Rows of ``kfold_eval_method_b``, one whole method-B step per fold and threshold."""
+    p = validate_norm_order(p)
+    pool_arr = as_node_array(pool, g.node_count)
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if k > pool_arr.size:
+        raise ValueError(f"k={k} folds over {pool_arr.size} nodes leaves empty folds")
+    rng = np.random.default_rng(seed)
+    folds = [np.sort(f) for f in np.array_split(rng.permutation(pool_arr), k)]
+    rows = []
+    for fold_idx, fold in enumerate(folds):
+        held_out = node_mask(fold, g.node_count)
+        train = pool_arr[~held_out[pool_arr]]
+        for eps, added, pivots, working in reference_first_steps(
+            step_method_b, g, truth, train, direction, epsilon_grid,
+            p=p, candidate_test=candidate_test,
+        ):
+            recovered = added[held_out[added]]
+            rows.append(ReportRow(
+                epsilon=float(eps), method="b", direction=direction.value, fold=fold_idx,
+                stat="mean",
+                error=mean_error(recovered, working, truth, p) if recovered.size else None,
+                size_delta_v=float(added.size), size_pivots=float(pivots),
+                coverage=float(recovered.size / fold.size),
+            ))
+    fold_rows = list(rows)
+    for eps in epsilon_grid:
+        same = [r for r in fold_rows if r.epsilon == float(eps)]
+        rows += _stat_rows(
+            eps, "b", direction, [r.error for r in same if r.error is not None],
+            size_delta_v=[r.size_delta_v for r in same],
+            size_pivots=[r.size_pivots for r in same],
+            coverage=[r.coverage for r in same],
+        )
+    return rows

@@ -3,21 +3,25 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cohprop.evaluation import (
     CSV_COLUMNS,
     EvaluationReport,
+    _first_steps,
     correlate_with_external,
     kfold_eval_method_b,
     spatial_uniform_sample,
     sweep_method_a,
 )
-from cohprop.features import FeatureStore, estimation_error
-from cohprop.graph import DirectedGraph, Direction
-from cohprop.method_a import init_state, step_method_a
-from cohprop.method_b import step_method_b
+from cohprop.features import FeatureStore, centroid, estimation_error
+from cohprop.graph import DirectedGraph, Direction, node_mask
+from cohprop.method_a import _accept_a, init_state, step_method_a
+from cohprop.method_b import _accept_b, co_neighbors, compute_pivots, step_method_b
 from cohprop.synthetic import PlantedConfig, generate_planted
 from conftest import store_from
+from oracles import reference_kfold_rows, reference_sweep_rows
 
 
 def two_cluster_store(n_dense=30, n_sparse=6):
@@ -261,6 +265,181 @@ class TestAggregationContract:
                 assert row.error == pytest.approx(float(STAT_FN[row.stat](errors)), rel=1e-12)
                 assert row.size_delta_v == float(added.size)
                 assert row.size_pivots is None and row.coverage is None
+
+
+protocol_instances = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n": st.integers(4, 30),
+    "density": st.sampled_from([0.5, 1.5, 3.0]),
+    "dim": st.sampled_from([1, 2]),
+    "quantum": st.sampled_from([None, 0.5, 0.1]),
+    "p": st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    "direction": st.sampled_from(list(Direction)),
+    # empty grids, threshold 0 and repeated thresholds included
+    "grid": st.lists(st.sampled_from([0.0, 0.05, 0.37, 0.91, 2.3]), max_size=4),
+    "untruthed": st.sampled_from([0.0, 0.4]),
+})
+
+
+def build_protocol_case(inst):
+    """Graph, a truth store without a share of the non-pool nodes, a pool and a fold count."""
+    rng = np.random.default_rng(inst["seed"])
+    n = inst["n"]
+    pairs = rng.integers(0, n, size=(int(inst["density"] * n), 2))
+    edges = np.array(sorted({(int(u), int(v)) for u, v in pairs if u != v}), dtype=np.int64)
+    g = DirectedGraph.from_edges(edges.reshape(-1, 2), node_count=n)
+    if inst["quantum"]:
+        feats = inst["quantum"] * rng.integers(0, 3, size=(n, inst["dim"]))
+    else:
+        feats = rng.normal(size=(n, inst["dim"]))
+    pool = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+    has_truth = node_mask(pool, n) | (rng.random(n) >= inst["untruthed"])
+    truth = FeatureStore(inst["dim"])
+    truth.set_known_many(np.flatnonzero(has_truth), feats[has_truth])
+    k = int(rng.integers(2, min(4, pool.size) + 1))
+    return g, truth, pool, k
+
+
+def raised(call):
+    """Type and message of the exception ``call()`` raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def assert_sorted_centroids(g, truth, seed, d, grid, scored, p, candidate_test):
+    """Each scored first-step estimate is the centroid of its node-sorted back-connections
+    (method A) or co-neighbors (method B), bit for bit."""
+    for eps, step in _first_steps(_accept_a, g, truth, seed, d, grid, scored, p):
+        assert step.estimated.tolist() == step.added[scored[step.added]].tolist()
+        for v, est in zip(step.estimated.tolist(), step.estimates):
+            want = centroid(np.intersect1d(g.neighbors(v, d.opposite), seed), truth)
+            assert est.tolist() == want.tolist()
+    for eps, step in _first_steps(_accept_b, g, truth, seed, d, grid, scored, p,
+                                  candidate_test=candidate_test):
+        store = truth.subset(seed)
+        pivots, _ = compute_pivots(init_state(store, seed, d, eps), g, store, p)
+        assert step.pivots == len(pivots)
+        assert step.estimated.tolist() == step.added[scored[step.added]].tolist()
+        for v, est in zip(step.estimated.tolist(), step.estimates):
+            want = centroid(co_neighbors(g, v, pivots, seed, d), truth)
+            assert est.tolist() == want.tolist()
+
+
+class TestFirstStepsMatchTheStepLoop:
+    """Both protocols against the per-threshold loop of whole steps in ``oracles``.
+
+    Rows must agree bit for bit (their ``repr``), although the protocols gate
+    each seed once and estimate only the nodes they score.
+    """
+
+    @given(protocol_instances)
+    def test_sweep_rows(self, inst):
+        g, truth, pool, _ = build_protocol_case(inst)
+        args = (g, truth, pool, inst["direction"], inst["grid"])
+        got = sweep_method_a(*args, p=inst["p"]).rows
+        assert repr(got) == repr(reference_sweep_rows(*args, p=inst["p"]))
+
+    @given(protocol_instances, st.sampled_from(CANDIDATE_TESTS))
+    def test_kfold_rows(self, inst, candidate_test):
+        g, truth, pool, k = build_protocol_case(inst)
+        args = (g, truth, pool, k, inst["direction"], inst["grid"])
+        options = dict(seed=inst["seed"], p=inst["p"], candidate_test=candidate_test)
+        got = kfold_eval_method_b(*args, **options).rows
+        assert repr(got) == repr(reference_kfold_rows(*args, **options))
+
+    @given(protocol_instances, st.sampled_from(CANDIDATE_TESTS))
+    def test_scored_estimates_are_sorted_centroids(self, inst, candidate_test):
+        g, truth, pool, _ = build_protocol_case(inst)
+        scored = np.random.default_rng(inst["seed"] + 1).random(g.node_count) < 0.5
+        assert_sorted_centroids(g, truth, pool, inst["direction"], inst["grid"], scored,
+                                inst["p"], candidate_test)
+
+    @pytest.mark.parametrize("candidate_test", CANDIDATE_TESTS)
+    def test_planted_kfold_and_sweep(self, candidate_test):
+        cfg = PlantedConfig(n_nodes=400, n_elites=10, beta=4.0, mean_out_degree=6.0, seed=6)
+        g, truth, _ = generate_planted(cfg)
+        pool = spatial_uniform_sample(truth, np.arange(400), 60, grid_bins=6, seed=2)
+        # large co-neighbor sets, where an unsorted pattern shows in the last bits
+        scored = np.random.default_rng(0).random(400) < 0.5
+        assert_sorted_centroids(g, truth, pool, Direction.UP, [0.05, 0.2, 0.4], scored, 2.0,
+                                candidate_test)
+        for d, grid, p in [(Direction.UP, [0.4, 0.05, 0.2, 0.0], 2.0),
+                           (Direction.DOWN, [0.2, 0.1, 0.2], 1.5)]:
+            got = kfold_eval_method_b(g, truth, pool, 8, d, grid, seed=9, p=p,
+                                      candidate_test=candidate_test)
+            want = reference_kfold_rows(g, truth, pool, 8, d, grid, seed=9, p=p,
+                                        candidate_test=candidate_test)
+            assert repr(got.rows) == repr(want)
+            got = sweep_method_a(g, truth, pool, d, grid, p=p)
+            assert repr(got.rows) == repr(reference_sweep_rows(g, truth, pool, d, grid, p=p))
+
+    @pytest.mark.parametrize("candidate_test", CANDIDATE_TESTS)
+    def test_folds_that_recover_nobody(self, candidate_test):
+        g = DirectedGraph.from_edges([(0, 3), (1, 4), (2, 5)], node_count=6)
+        truth = store_from([[0.0], [0.1], [0.2]])
+        args = (g, truth, [0, 1, 2], 3, Direction.UP, [0.5, 0.0], 0)
+        got = kfold_eval_method_b(*args, candidate_test=candidate_test).rows
+        assert all(r.coverage in (0.0, None) and r.error is None for r in got)
+        assert repr(got) == repr(reference_kfold_rows(*args, candidate_test=candidate_test))
+
+
+class TestFirstStepErrors:
+    """The protocols fail where, and as, the per-threshold step loop fails."""
+
+    def case(self):
+        g, truth = tiny_instance()
+        return g, truth, [0, 1, 2, 3, 5, 6]
+
+    @pytest.mark.parametrize("grid", [[-0.1], [0.5, float("nan")], [0.5, -1.0, 0.2]])
+    def test_bad_threshold(self, grid):
+        g, truth, pool = self.case()
+        sweep = (g, truth, pool, Direction.UP, grid)
+        with pytest.raises(ValueError, match="coherence threshold must be >= 0"):
+            sweep_method_a(*sweep)
+        assert raised(lambda: sweep_method_a(*sweep)) == raised(
+            lambda: reference_sweep_rows(*sweep))
+        kfold = (g, truth, pool, 3, Direction.UP, grid, 0)
+        with pytest.raises(ValueError, match="coherence threshold must be >= 0"):
+            kfold_eval_method_b(*kfold)
+        assert raised(lambda: kfold_eval_method_b(*kfold)) == raised(
+            lambda: reference_kfold_rows(*kfold))
+
+    def test_unknown_candidate_test(self):
+        g, truth, pool = self.case()
+        args = (g, truth, pool, 3, Direction.UP, [0.5], 0)
+        with pytest.raises(ValueError, match="candidate_test must be one of"):
+            kfold_eval_method_b(*args, candidate_test="pivots")
+        assert raised(lambda: kfold_eval_method_b(*args, candidate_test="pivots")) == raised(
+            lambda: reference_kfold_rows(*args, candidate_test="pivots"))
+
+    @staticmethod
+    def protocol_calls(g, truth):
+        """Each protocol from a seed holding node 5, beside the reference loop's run."""
+        return [
+            (lambda: sweep_method_a(g, truth, [0, 1, 5], Direction.UP, [0.5]),
+             lambda: reference_sweep_rows(g, truth, [0, 1, 5], Direction.UP, [0.5])),
+            (lambda: kfold_eval_method_b(g, truth, [0, 1, 2, 5], 2, Direction.UP, [0.5], 0),
+             lambda: reference_kfold_rows(g, truth, [0, 1, 2, 5], 2, Direction.UP, [0.5], 0)),
+        ]
+
+    def test_estimated_seed_entry(self):
+        g, _ = tiny_instance()
+        truth = store_from([[0.0], [0.05], [0.1]])
+        truth.set_estimated(5, [0.12], 0)
+        for call, reference in self.protocol_calls(g, truth):
+            with pytest.raises(ValueError,
+                               match="seed node 5 carries an estimated feature, not a known one"):
+                call()
+            assert raised(call) == raised(reference)
+
+    def test_pool_node_without_truth(self):
+        g, _ = tiny_instance()
+        truth = store_from([[0.0], [0.05], [0.1], [0.15]])
+        for call, reference in self.protocol_calls(g, truth):
+            with pytest.raises(KeyError, match="no features for node 5"):
+                call()
+            assert raised(call) == raised(reference)
 
 
 class TestReportSerialization:

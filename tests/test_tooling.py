@@ -1,8 +1,13 @@
 """Checks over the library source itself."""
 import ast
+import sys
 from pathlib import Path
 
 import cohprop
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import spans  # noqa: E402
 
 SOURCES = sorted(Path(cohprop.__file__).parent.glob("*.py"))
 
@@ -30,3 +35,24 @@ def test_only_the_cli_prints():
         and node.func.id == "print"
     ]
     assert SOURCES and not found, found
+
+
+def test_keep_alive_imports_are_benchmark_sites():
+    # a module imports a name it does not call only so that the benchmark's
+    # layer spans (perfbench/spans.py) can wrap it there; each such import
+    # must name a site the spans wrap, so a re-targeted span shows up here
+    # (the package's own re-exports in __init__.py are not keep-alives)
+    wrapped = {(owner.__name__, attr) for _, sites, _ in spans.SPANS for owner, attr in sites}
+    kept = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        kept += [
+            (f"cohprop.{path.stem}", alias.asname or alias.name)
+            for node in ast.walk(ast.parse("\n".join(lines)))
+            if isinstance(node, ast.ImportFrom) and "noqa: F401" in lines[node.end_lineno - 1]
+            for alias in node.names
+        ]
+    orphans = [site for site in kept if site not in wrapped]
+    assert kept and not orphans, orphans
