@@ -21,7 +21,7 @@ import csv
 import json
 import math
 from itertools import count
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 KNOWN = -1  # provenance step index reserved for seed features
+_BLOCK_ROWS = 1 << 12  # CSV rows formatted per block
 
 
 def validate_norm_order(p) -> float:
@@ -323,31 +324,40 @@ def write_features_csv(
     include_provenance: bool = False,
 ) -> None:
     """Write ``node_label,f1,...,fN`` rows (plus optional provenance column)."""
-    header = ["node_label"] + [f"f{i + 1}" for i in range(store.dim)]
-    if include_provenance:
-        header.append("provenance")
-    # one range check and one gather for the whole store, so rows need no
-    # per-node label_of / provenance_label calls
+    # one range check and one gather for the whole store, before the file opens
     nodes = as_node_array(store.nodes(), graph.node_count)
-    labels, ids = graph.labels, nodes.tolist()
-    rows = ([labels[v], *map(repr, vec)] for v, vec in zip(ids, store.features_of(nodes).tolist()))
-    if include_provenance:
-        rows = (row + [label] for row, label in
-                zip(rows, map(_format_provenance, store.steps_of(nodes).tolist())))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    steps = store.steps_of(nodes).tolist() if include_provenance else None
+    _write_rows(path, list(map(graph.labels.__getitem__, nodes.tolist())),
+                store.features_of(nodes), steps)
 
 
 def write_labeled_features_csv(path, rows: Iterable[tuple[str, np.ndarray]], dim: int) -> None:
     """Write labeled coordinate rows without going through a graph."""
-    header = ["node_label"] + [f"f{i + 1}" for i in range(dim)]
+    rows = list(rows)
+    table = np.array([vec for _, vec in rows], dtype=np.float64).reshape(len(rows), dim)
+    _write_rows(path, [label for label, _ in rows], table, None)
+
+
+def _write_rows(path, labels: list[str], table: np.ndarray, steps: list[int] | None) -> None:
+    """The one features-CSV writer, behind both public ones.
+
+    Row k holds ``labels[k]``, row k of ``table`` and, when ``steps`` is
+    given, the provenance of ``steps[k]``. Rows are formatted a block at a
+    time, column by column, so each column is one pass in C; values are
+    written with ``repr``, which reads back exactly.
+    """
+    header = ["node_label"] + [f"f{i + 1}" for i in range(table.shape[1])]
+    if steps is not None:
+        header.append("provenance")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for label, vec in rows:
-            writer.writerow([label] + [repr(float(x)) for x in vec])
+        for lo in range(0, len(labels), _BLOCK_ROWS):
+            hi = lo + _BLOCK_ROWS
+            columns = [labels[lo:hi], *(map(repr, col) for col in table[lo:hi].T.tolist())]
+            if steps is not None:
+                columns.append(map(_format_provenance, steps[lo:hi]))
+            writer.writerows(zip(*columns))
 
 
 def _format_provenance(step: int) -> str:

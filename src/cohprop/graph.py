@@ -8,16 +8,23 @@ construction and safe for concurrent readers.
 """
 from __future__ import annotations
 
+import csv
 import io
 import logging
+from collections import defaultdict
 from enum import Enum
+from itertools import count, islice, repeat
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import IO, Iterator, Sequence, Union
 
 import numpy as np
 from scipy import sparse
 
 logger = logging.getLogger(__name__)
+
+# edge-list lines parsed per block: a block's strings and lists are freed before
+# the next one is read, so the parse holds little beyond the labels and the ids
+_BLOCK_LINES = 1 << 12
 
 __all__ = [
     "Direction",
@@ -261,10 +268,10 @@ class DirectedGraph:
 
     def write_label_map(self, path) -> None:
         """Export the label mapping as CSV ``label,node_id``."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("label,node_id\n")
-            for i, lab in enumerate(self._labels):
-                fh.write(f"{lab},{i}\n")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["label", "node_id"])
+            writer.writerows(zip(self._labels, count()))
 
 
 def grouped_restricted_neighbors(
@@ -320,6 +327,21 @@ def _iter_lines(source) -> Iterator[str]:
         yield line.decode("utf-8") if isinstance(line, bytes) else line
 
 
+def _first_bad_record(block: list[str], first_line: int, sep: str, comment: str):
+    """The error for the first malformed record of a block whose line 1 is ``first_line``."""
+    for lineno, raw in enumerate(block, start=first_line):
+        line = raw.strip()
+        if not line or line.startswith(comment):
+            continue
+        fields = [f.strip() for f in line.split(sep)]
+        if len(fields) != 2:
+            return EdgeListParseError(
+                f"expected 2 fields separated by {sep!r}, got {len(fields)}", lineno
+            )
+        if not fields[0] or not fields[1]:
+            return EdgeListParseError("empty node label", lineno)
+
+
 def load_edge_list(
     source: Union[str, Path, bytes, IO],
     sep: str = ",",
@@ -331,25 +353,30 @@ def load_edge_list(
     blank lines are skipped. Duplicate records are collapsed and self-loops
     dropped with a counted warning. Raises :class:`EdgeListParseError` with
     the offending line number on malformed records and ``ValueError`` when
-    the stream contains no records at all.
+    the stream contains no records at all, or when ``sep`` is empty or
+    holds a line break.
     """
-    ids: dict[str, int] = {}
-    flat: list[int] = []  # source and target ids of every record, in file order
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith(comment):
-            continue
-        fields = [f.strip() for f in line.split(sep)]
-        if len(fields) != 2:
-            raise EdgeListParseError(
-                f"expected 2 fields separated by {sep!r}, got {len(fields)}", lineno
-            )
-        if not fields[0] or not fields[1]:
-            raise EdgeListParseError("empty node label", lineno)
-        flat.append(ids.setdefault(fields[0], len(ids)))
-        flat.append(ids.setdefault(fields[1], len(ids)))
+    if not sep or "\n" in sep:
+        raise ValueError(f"separator must be non-empty without a line break, got {sep!r}")
+    # each block is stripped, filtered, checked, split and interned in passes
+    # that run in C; a block that fails the checks is walked again line by
+    # line to report its first bad record. Splitting the joined records yields
+    # each record's two fields: a one-character separator cannot straddle a
+    # joint, but a longer one can ("::" after a field ending in ":"), so there
+    # the joint leads with a "\n", which no separator holds and strip() drops
+    joint = sep if len(sep) == 1 else "\n" + sep
+    ids = defaultdict(count().__next__)  # label -> id, in order of first appearance
+    blocks = []  # int64 source and target ids of every record, in file order
+    lines, first_line = _iter_lines(source), 1
+    while block := list(islice(lines, _BLOCK_LINES)):
+        records = [r for r in map(str.strip, block) if r and not r.startswith(comment)]
+        labels = list(map(str.strip, joint.join(records).split(sep))) if records else []
+        if list(map(str.count, records, repeat(sep))).count(1) != len(records) or "" in labels:
+            raise _first_bad_record(block, first_line, sep, comment)
+        blocks.append(np.fromiter(map(ids.__getitem__, labels), dtype=np.int64, count=len(labels)))
+        first_line += len(block)
 
-    if not flat:
+    if not ids:
         raise ValueError("edge-list stream contains no records")
-    return DirectedGraph.from_edges(np.array(flat, dtype=np.int64).reshape(-1, 2),
+    return DirectedGraph.from_edges(np.concatenate(blocks).reshape(-1, 2),
                                     node_count=len(ids), labels=list(ids))

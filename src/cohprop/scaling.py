@@ -12,8 +12,8 @@ singular-value order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp

@@ -14,7 +14,7 @@ given seed and numpy version and could run parallel over sources.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np

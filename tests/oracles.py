@@ -2,13 +2,21 @@
 package. Everything here favors obviousness over speed: plain Python loops,
 sets, and textbook formulas.
 """
+import csv
 import math
 
 import numpy as np
 
 from cohprop.evaluation import ReportRow, _stat_rows
 from cohprop.features import mean_error, validate_norm_order
-from cohprop.graph import DirectedGraph, Direction, as_node_array, node_mask
+from cohprop.graph import (
+    DirectedGraph,
+    Direction,
+    EdgeListParseError,
+    _iter_lines,
+    as_node_array,
+    node_mask,
+)
 from cohprop.method_a import init_state, step_method_a
 from cohprop.method_b import step_method_b
 
@@ -112,6 +120,53 @@ def random_graph(rng, n_nodes, n_edges):
             pairs.add((int(u), int(v)))
     edges = sorted(pairs)
     return DirectedGraph.from_edges(edges, node_count=n_nodes), edges
+
+
+def reference_load_edge_list(source, sep=",", comment="#"):
+    """Edge-list parse one line at a time: strip, skip, split, check, intern."""
+    ids = {}
+    flat = []
+    for lineno, raw in enumerate(_iter_lines(source), start=1):
+        line = raw.strip()
+        if not line or line.startswith(comment):
+            continue
+        fields = [f.strip() for f in line.split(sep)]
+        if len(fields) != 2:
+            raise EdgeListParseError(
+                f"expected 2 fields separated by {sep!r}, got {len(fields)}", lineno
+            )
+        if not fields[0] or not fields[1]:
+            raise EdgeListParseError("empty node label", lineno)
+        flat.append(ids.setdefault(fields[0], len(ids)))
+        flat.append(ids.setdefault(fields[1], len(ids)))
+    if not flat:
+        raise ValueError("edge-list stream contains no records")
+    return DirectedGraph.from_edges(np.array(flat, dtype=np.int64).reshape(-1, 2),
+                                    node_count=len(ids), labels=list(ids))
+
+
+def reference_write_features_csv(path, store, graph, include_provenance=False):
+    """Features CSV one node at a time: label, repr of each value, provenance."""
+    header = ["node_label"] + [f"f{i + 1}" for i in range(store.dim)]
+    if include_provenance:
+        header.append("provenance")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for v in store.nodes().tolist():
+            row = [graph.label_of(v)] + [repr(float(x)) for x in store.get(v)]
+            if include_provenance:
+                row.append(store.provenance_label(v))
+            writer.writerow(row)
+
+
+def reference_write_labeled_features_csv(path, rows, dim):
+    """Labeled coordinate rows one at a time, values written with repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node_label"] + [f"f{i + 1}" for i in range(dim)])
+        for label, vec in rows:
+            writer.writerow([label] + [repr(float(x)) for x in vec])
 
 
 class SetGraph:

@@ -1,4 +1,7 @@
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from cohprop.features import (
     mean_error,
     read_features_csv,
     write_features_csv,
+    write_labeled_features_csv,
 )
 from cohprop.graph import DirectedGraph, Direction, UnknownNodeError, load_edge_list
 from conftest import store_from
@@ -25,6 +29,8 @@ from oracles import (
     naive_error,
     naive_incoherence,
     random_graph,
+    reference_write_features_csv,
+    reference_write_labeled_features_csv,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -451,3 +457,41 @@ class TestFeaturesCsv:
         path.write_text("node_label,f1\nzz,0.5\n")
         with pytest.raises(KeyError):
             read_features_csv(path, g)
+
+
+@st.composite
+def labeled_stores(draw):
+    """A graph with awkward labels and a store over some of its nodes, possibly none."""
+    labels = draw(st.lists(st.text(alphabet='ab,"\u00e9\u4e2d ;', min_size=1, max_size=4),
+                           min_size=1, max_size=9, unique=True))
+    dim = draw(st.integers(1, 4))
+    g = DirectedGraph.from_edges(np.empty((0, 2), dtype=np.int64), len(labels), labels=labels)
+    store = FeatureStore(dim)
+    nodes = draw(st.lists(st.integers(0, len(labels) - 1), unique=True))
+    for v in nodes:
+        vec = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                            min_size=dim, max_size=dim))
+        step = draw(st.integers(-1, 3))
+        if step == KNOWN:
+            store.set_known(v, vec)
+        else:
+            store.set_estimated(v, vec, step)
+    return g, store
+
+
+class TestCsvWritersMatchTheRowLoop:
+    @given(labeled_stores(), st.booleans(), st.sampled_from([1, 2, 3, features._BLOCK_ROWS]))
+    def test_same_bytes(self, graph_store, include_provenance, block_rows):
+        g, store = graph_store
+        nodes = store.nodes()
+        rows = list(zip([g.labels[v] for v in nodes.tolist()], store.features_of(nodes)))
+        with tempfile.TemporaryDirectory() as tmp:
+            want, got = Path(tmp) / "want.csv", Path(tmp) / "got.csv"
+            reference_write_features_csv(want, store, g, include_provenance)
+            with mock.patch.object(features, "_BLOCK_ROWS", block_rows):
+                write_features_csv(got, store, g, include_provenance)
+            assert got.read_bytes() == want.read_bytes()
+            reference_write_labeled_features_csv(want, rows, store.dim)
+            with mock.patch.object(features, "_BLOCK_ROWS", block_rows):
+                write_labeled_features_csv(got, rows, store.dim)
+            assert got.read_bytes() == want.read_bytes()

@@ -1,10 +1,15 @@
+import csv
 import io
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cohprop import graph as graph_module
 from cohprop.graph import (
     DirectedGraph,
     Direction,
@@ -16,7 +21,7 @@ from cohprop.graph import (
     load_edge_list,
     node_mask,
 )
-from oracles import naive_neighborhood, naive_neighbors, random_graph
+from oracles import naive_neighborhood, naive_neighbors, random_graph, reference_load_edge_list
 
 
 def ids(g, labels):
@@ -55,6 +60,7 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListParseError) as err:
             load_edge_list(b"a,b\noops\n")
         assert err.value.line == 2
+        assert str(err.value) == "line 2: expected 2 fields separated by ',', got 1"
 
     def test_empty_label_rejected(self):
         with pytest.raises(EdgeListParseError):
@@ -69,6 +75,27 @@ class TestLoadEdgeList:
         assert g.edge_count == 2
         assert ids(g, {"x", "z"}) == set(g.neighbors(g.id_of("y"), Direction.DOWN))
 
+    def test_multi_character_separator_after_its_own_prefix(self):
+        # "b:" then "::" reads "b:::" where a split of the joined lines could
+        # cut "b" off at the first two colons
+        g = load_edge_list(b"a::b:\nc::d\n", sep="::")
+        assert g.labels == ("a", "b:", "c", "d")
+
+    @pytest.mark.parametrize("sep", ["", "\n", ";\n"])
+    def test_empty_or_multiline_separator_rejected(self, sep):
+        with pytest.raises(ValueError, match="separator"):
+            load_edge_list(b"a,b\n", sep=sep)
+
+    def test_label_map_round_trips_through_csv(self, tmp_path):
+        g = load_edge_list('a,b;"c"\nd;a,b\n\u00e9 x;d\n'.encode(), sep=";")
+        path = tmp_path / "labels.csv"
+        g.write_label_map(path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [
+            ["label", "node_id"], ["a,b", "0"], ['"c"', "1"], ["d", "2"], ["\u00e9 x", "3"],
+        ]
+
     def test_label_map_export(self, tmp_path):
         g = load_edge_list(b"a,b\nc,b\n")
         path = tmp_path / "labels.csv"
@@ -76,6 +103,60 @@ class TestLoadEdgeList:
         lines = path.read_text().splitlines()
         assert lines[0] == "label,node_id"
         assert lines[1:] == ["a,0", "b,1", "c,2"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A separator and records mixed with blank and comment lines, at most one line malformed."""
+    sep = draw(st.sampled_from([",", ";", "::", " "]))
+    label = st.one_of(
+        st.sampled_from(["a", "b", "ab", " a ", "\tb", "\u00e9", "a:", ":b"]),
+        st.text(alphabet="ab:\u00e9", min_size=1, max_size=3),
+    )
+    edge = st.tuples(label, label).map(sep.join)
+    other = st.sampled_from(["", "  ", "\t", "# note", "  #a,b", "#"])
+    lines = draw(st.lists(st.one_of(edge, edge, other), max_size=14))
+    if draw(st.booleans()):
+        bad = st.one_of(
+            label,  # one field
+            st.tuples(label, label, label).map(sep.join),
+            label.map(lambda t: sep + t),  # empty source
+            label.map(lambda t: t + " " + sep),  # empty target
+            st.text(alphabet="ab:;, \t#", max_size=4),
+        )
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line break
+    return sep, text
+
+
+def parse_outcome(parse, text, sep, kind):
+    """What a parse returns or raises, in comparable form, for one kind of source."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if kind == "path":
+            source = Path(tmp) / "edges.csv"
+            source.write_text(text, encoding="utf-8", newline="")
+        else:
+            source = text.encode("utf-8") if kind == "bytes" else io.StringIO(text)
+        try:
+            g = parse(source, sep=sep)
+        except ValueError as err:
+            return type(err), str(err), getattr(err, "line", None)
+    csr = (g._fwd_indptr, g._fwd_indices, g._rev_indptr, g._rev_indices)
+    return (g.labels, g.self_loops_dropped, g.duplicates_collapsed, *(a.tolist() for a in csr))
+
+
+class TestLoadEdgeListMatchesTheLineLoop:
+    @given(edge_list_texts(), st.sampled_from(["bytes", "stringio", "path"]),
+           st.sampled_from([1, 2, 3, graph_module._BLOCK_LINES]))
+    def test_same_graph_or_same_error(self, sep_text, kind, block_lines):
+        sep, text = sep_text
+        want = parse_outcome(reference_load_edge_list, text, sep, kind)
+        with mock.patch.object(graph_module, "_BLOCK_LINES", block_lines):
+            got = parse_outcome(load_edge_list, text, sep, kind)
+        assert got == want
 
 
 class TestNeighbors:

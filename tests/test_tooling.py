@@ -56,3 +56,39 @@ def test_keep_alive_imports_are_benchmark_sites():
         ]
     orphans = [site for site in kept if site not in wrapped]
     assert kept and not orphans, orphans
+
+
+def test_library_imports_are_used():
+    # no linter runs on the library, so this is the guard against imports
+    # left behind by a rewrite; the keep-alive imports above are exempt, as
+    # are the package's re-exports in __init__.py and __future__ imports
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        tree = ast.parse("\n".join(lines))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            and "noqa: F401" not in lines[node.end_lineno - 1]
+            for alias in node.names
+        }
+        # an annotation written as a string literal reads the names inside it
+        annotations = [
+            ast.parse(note.value, mode="eval")
+            for node in ast.walk(tree)
+            for note in (getattr(node, "annotation", None), getattr(node, "returns", None))
+            if isinstance(note, ast.Constant) and isinstance(note.value, str)
+        ]
+        read = {
+            node.id
+            for root in [tree, *annotations]
+            for node in ast.walk(root)
+            if isinstance(node, ast.Name)
+        }
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in read]
+    assert SOURCES and not unused, unused
