@@ -161,11 +161,7 @@ def cmd_scale(args, out_dir: Path) -> int:
 def cmd_generate(args, out_dir: Path) -> int:
     cfg = PlantedConfig.from_json(args.config)
     g, truth, elites = generate_planted(cfg)
-    edges_path = _resolve(out_dir, args.out_edges)
-    with open(edges_path, "w", encoding="utf-8") as fh:
-        for u in range(g.node_count):
-            for v in g.neighbors(u, Direction.UP).tolist():
-                fh.write(f"{g.label_of(u)},{g.label_of(v)}\n")
+    g.write_edge_list(_resolve(out_dir, args.out_edges))
     write_features_csv(_resolve(out_dir, args.out_features), truth, g)
     with open(_resolve(out_dir, args.out_elites), "w", encoding="utf-8") as fh:
         for e in elites.tolist():

@@ -8,9 +8,11 @@ recovered fold members, aggregated over folds with median/min/max (mean is
 recorded too). Reports serialize to a fixed CSV schema and to JSON.
 
 Both protocols open the coherence gate of each seed once for the whole
-grid, since it does not depend on the threshold, and estimate only the
-additions they score; their rows equal those of one whole step per
-threshold, bit for bit.
+grid, since it does not depend on the threshold, and hand that gate and
+the whole grid to the method's rule; method B's rule builds its candidate
+incidence once per seed, at the largest threshold. Only the additions a
+protocol scores are estimated. The rows equal those of one whole step per
+threshold, bit for bit, and a bad input fails as that step loop fails.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .features import FeatureStore, _validate_epsilon, _write_json, validate_norm_order
+from .features import FeatureStore, _write_json, validate_norm_order
 from .graph import DirectedGraph, Direction, as_node_array, node_mask
 from .method_a import _accept_a, _open_gate, init_state
 from .method_a import step_method_a  # noqa: F401  (perfbench/spans.py wraps it here)
@@ -170,17 +172,20 @@ def _first_steps(accept, g, truth, seed, direction, epsilon_grid, scored, p, **k
     ``accept`` is a method's threshold rule (``method_a._accept_a`` or
     ``method_b._accept_b``). The seed's truth is checked and gathered once
     and its coherence gate is opened once, since neither depends on the
-    threshold; each threshold then applies the rule to that gate. Only the
+    threshold; the rule then takes that gate and the whole grid. Only the
     additions in the node mask ``scored`` are estimated, and nothing is
-    written to a store. Yields ``(eps, outcome)`` in grid order.
+    written to a store. Returns ``(eps, outcome)`` pairs in grid order.
+
+    Errors come in the order of the per-threshold step loop: a seed node
+    without truth, then the first threshold and the seed's provenance (in
+    ``init_state``), then the rule's own options and the other thresholds.
     """
     grid = list(epsilon_grid)
     if not grid:
-        return
+        return []
     table = truth.features_of(seed)  # KeyError for a seed node without truth
     gate = _open_gate(init_state(truth, seed, direction, grid[0]), g, table, p)
-    for eps in grid:
-        yield eps, accept(gate, _validate_epsilon(eps), scored, **kwargs)
+    return zip(grid, accept(gate, grid, scored, **kwargs))
 
 
 def _errors(outcome, truth: FeatureStore, p: float) -> np.ndarray:

@@ -269,19 +269,19 @@ def _validate_epsilon(epsilon) -> float:
 
 
 def _gate(g: DirectedGraph, table: np.ndarray, V: np.ndarray, direction: Direction, p: float):
-    """The coherence gate: ``(cand, inc, centers)`` for the sorted featured set V.
+    """The coherence gate: ``(cand, inc, centers, M)`` for the sorted featured set V.
 
     ``table`` holds the features of V, row k for V[k]. ``cand`` is
-    ``g.neighborhood(V, direction)``. Entry k of ``inc`` and ``centers`` is
-    the incoherence and centroid of cand[k]'s back-connections into V, its
-    row of the opposite-direction incidence against V. That row is nonempty
-    because cand[k] was reached from V. Callers apply their own rule to the
-    result.
+    ``g.neighborhood(V, direction)``, and ``M`` is its opposite-direction
+    incidence against V: row k holds cand[k]'s back-connections into V,
+    nonempty because cand[k] was reached from V. Entry k of ``inc`` and
+    ``centers`` is the incoherence and centroid of that row. Callers apply
+    their own rule to the result; method B also walks back through M's rows.
     """
     cand = g.neighborhood(V, direction)
     M = incidence(g, cand, V, direction.opposite)
     inc, centers = _group_stats(table, M.indices, M.indptr, p)
-    return cand, inc, centers
+    return cand, inc, centers, M
 
 
 def coherent_neighborhood(
@@ -303,7 +303,7 @@ def coherent_neighborhood(
     p = validate_norm_order(p)
     epsilon = _validate_epsilon(epsilon)
     V = as_node_array(nodes, g.node_count)
-    cand, inc, _ = _gate(g, store.features_of(V), V, direction, p)
+    cand, inc, _, _ = _gate(g, store.features_of(V), V, direction, p)
     return cand[inc <= epsilon]
 
 

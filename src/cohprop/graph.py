@@ -15,15 +15,15 @@ from collections import defaultdict
 from enum import Enum
 from itertools import count, islice, repeat
 from pathlib import Path
-from typing import IO, Iterator, Sequence, Union
+from typing import IO, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy import sparse
 
 logger = logging.getLogger(__name__)
 
-# edge-list lines parsed per block: a block's strings and lists are freed before
-# the next one is read, so the parse holds little beyond the labels and the ids
+# edge-list lines parsed or written per block: a block's strings and lists are freed
+# before the next one, so the parse holds little beyond the labels and the ids
 _BLOCK_LINES = 1 << 12
 
 __all__ = [
@@ -113,6 +113,31 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     return indptr
 
 
+def _take_rows(indices: np.ndarray, indptr: np.ndarray, rows: np.ndarray):
+    """Rows ``rows`` of a CSR pattern, in order (repeats allowed), as CSR arrays ``(flat, bounds)``.
+
+    Row k of the result, ``flat[bounds[k]:bounds[k+1]]``, is row rows[k].
+    """
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    bounds = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    # output slot j of group k reads indices[starts[k] + (j - bounds[k])]
+    offsets = np.repeat(starts - bounds[:-1], counts)
+    return indices[np.arange(bounds[-1]) + offsets], bounds
+
+
+class _Interned(NamedTuple):
+    """Labels interned by :func:`load_edge_list`: unique strings and their ids, in id order.
+
+    Passed as ``labels``, they are taken as they are: the parse has already
+    built both, and its labels cannot repeat.
+    """
+
+    labels: tuple[str, ...]
+    ids: dict[str, int]
+
+
 class DirectedGraph:
     """Directed graph over dense integer node ids 0..node_count-1.
 
@@ -138,14 +163,17 @@ class DirectedGraph:
         self._rev_indices = np.asarray(rev_indices, dtype=np.int64)
         for arr in (self._fwd_indptr, self._fwd_indices, self._rev_indptr, self._rev_indices):
             arr.setflags(write=False)
-        if labels is None:
-            labels = [str(i) for i in range(self._n)]
-        if len(labels) != self._n:
-            raise ValueError("label list length must equal node count")
-        self._labels = tuple(str(s) for s in labels)
-        self._ids = {s: i for i, s in enumerate(self._labels)}
-        if len(self._ids) != self._n:
-            raise ValueError("labels must be unique")
+        if isinstance(labels, _Interned):
+            self._labels, self._ids = labels
+        else:
+            if labels is None:
+                labels = range(self._n)
+            if len(labels) != self._n:
+                raise ValueError("label list length must equal node count")
+            self._labels = tuple(map(str, labels))
+            self._ids = dict(zip(self._labels, count()))
+            if len(self._ids) != self._n:
+                raise ValueError("labels must be unique")
         self.self_loops_dropped = int(self_loops_dropped)
         self.duplicates_collapsed = int(duplicates_collapsed)
 
@@ -235,16 +263,8 @@ class DirectedGraph:
             bad = nodes.min() if nodes.min() < 0 else nodes.max()
             raise UnknownNodeError(f"node id {bad} outside 0..{self._n - 1}")
         if direction is Direction.UP:
-            indptr, indices = self._fwd_indptr, self._fwd_indices
-        else:
-            indptr, indices = self._rev_indptr, self._rev_indices
-        starts = indptr[nodes]
-        counts = indptr[nodes + 1] - starts
-        bounds = np.zeros(nodes.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        # output slot j of group k reads indices[starts[k] + (j - bounds[k])]
-        offsets = np.repeat(starts - bounds[:-1], counts)
-        return indices[np.arange(bounds[-1]) + offsets], bounds
+            return _take_rows(self._fwd_indices, self._fwd_indptr, nodes)
+        return _take_rows(self._rev_indices, self._rev_indptr, nodes)
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u, Direction.UP)
@@ -265,6 +285,21 @@ class DirectedGraph:
             return self._ids[label]
         except KeyError:
             raise UnknownNodeError(f"unknown node label {label!r}") from None
+
+    def write_edge_list(self, path) -> None:
+        """Write one ``follower,followee`` line per edge, in (follower, followee) id order.
+
+        Labels are written as they are. Lines are formatted a block at a
+        time, each column in one pass, as the features CSV writer does.
+        """
+        followers = np.repeat(np.arange(self._n), np.diff(self._fwd_indptr))
+        label = self._labels.__getitem__
+        with open(path, "w", encoding="utf-8") as fh:
+            for lo in range(0, followers.size, _BLOCK_LINES):
+                hi = lo + _BLOCK_LINES
+                pairs = zip(map(label, followers[lo:hi].tolist()),
+                            map(label, self._fwd_indices[lo:hi].tolist()))
+                fh.write("\n".join(map(",".join, pairs)) + "\n")
 
     def write_label_map(self, path) -> None:
         """Export the label mapping as CSV ``label,node_id``."""
@@ -378,5 +413,6 @@ def load_edge_list(
 
     if not ids:
         raise ValueError("edge-list stream contains no records")
-    return DirectedGraph.from_edges(np.concatenate(blocks).reshape(-1, 2),
-                                    node_count=len(ids), labels=list(ids))
+    ids.default_factory = None  # a plain lookup from here on: an unknown label is a KeyError
+    return DirectedGraph.from_edges(np.concatenate(blocks).reshape(-1, 2), node_count=len(ids),
+                                    labels=_Interned(tuple(ids), ids))

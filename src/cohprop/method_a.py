@@ -10,9 +10,10 @@ node can never become coherent later through freshly propagated features.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .features import KNOWN, FeatureStore, _gate, validate_norm_order, _validate_epsilon
 from .graph import DirectedGraph, Direction, as_node_array, node_mask
@@ -121,11 +122,13 @@ class _Gate:
     """The threshold-free half of a step from ``state``: its coherence gate.
 
     ``table`` holds the features of ``state.featured`` in its order, and
-    ``cand``, ``inc`` and ``centers`` are what ``features._gate`` returns
-    for it on ``g`` at norm order ``p``. ``featured`` and ``excluded`` are
-    node masks of the state's sets; ``fresh[k]`` is true when cand[k] is in
-    neither. A first-step protocol opens one gate per seed and applies
-    every threshold to it.
+    ``cand``, ``inc``, ``centers`` and ``M`` are what ``features._gate``
+    returns for it on ``g`` at norm order ``p``: row k of the incidence M
+    holds the positions in ``state.featured`` of cand[k]'s back-connections.
+    Method B walks back from its pivots through their rows of M.
+    ``featured`` and ``excluded`` are node masks of the state's sets;
+    ``fresh[k]`` is true when cand[k] is in neither. A first-step protocol
+    opens one gate per seed and applies its whole threshold grid to it.
     """
 
     g: DirectedGraph
@@ -135,6 +138,7 @@ class _Gate:
     cand: np.ndarray
     inc: np.ndarray
     centers: np.ndarray
+    M: sparse.csr_array
     featured: np.ndarray
     excluded: np.ndarray
     fresh: np.ndarray
@@ -142,10 +146,10 @@ class _Gate:
 
 def _open_gate(state: PropagationState, g: DirectedGraph, table: np.ndarray, p: float) -> _Gate:
     """Gate the neighbours of ``state.featured``, whose features ``table`` holds."""
-    cand, inc, centers = _gate(g, table, state.featured, state.direction, p)
+    cand, inc, centers, M = _gate(g, table, state.featured, state.direction, p)
     featured = node_mask(state.featured, g.node_count)
     excluded = node_mask(state.excluded, g.node_count)
-    return _Gate(g, p, state, table, cand, inc, centers, featured, excluded,
+    return _Gate(g, p, state, table, cand, inc, centers, M, featured, excluded,
                  ~(featured[cand] | excluded[cand]))
 
 
@@ -169,18 +173,23 @@ class _Outcome(NamedTuple):
     estimates: np.ndarray
 
 
-def _accept_a(gate: _Gate, epsilon: float, scored: Optional[np.ndarray] = None) -> _Outcome:
-    """Method A's rule at ``epsilon`` over an open gate.
+def _accept_a(gate: _Gate, grid: Sequence[float],
+              scored: Optional[np.ndarray] = None) -> list[_Outcome]:
+    """Method A's rule over an open gate: one outcome per threshold of ``grid``, in its order.
 
-    Fresh candidates within the threshold are added, estimated as their
-    gate centroid; the others are blacklisted. With a node mask ``scored``
-    only the additions in it are estimated.
+    Every threshold is checked before any is applied. At a threshold, fresh
+    candidates within it are added, estimated as their gate centroid; the
+    others are blacklisted. With a node mask ``scored`` only the additions
+    in it are estimated.
     """
-    ok = gate.inc <= epsilon
-    accept = gate.fresh & ok
-    rows = accept if scored is None else accept & scored[gate.cand]
-    return _Outcome(gate.cand[accept], _blacklist(gate, ok), None,
-                    gate.cand[rows], gate.centers[rows])
+    outcomes = []
+    for epsilon in [_validate_epsilon(eps) for eps in grid]:
+        ok = gate.inc <= epsilon
+        accept = gate.fresh & ok
+        rows = accept if scored is None else accept & scored[gate.cand]
+        outcomes.append(_Outcome(gate.cand[accept], _blacklist(gate, ok), None,
+                                 gate.cand[rows], gate.centers[rows]))
+    return outcomes
 
 
 def step_method_a(
@@ -201,7 +210,7 @@ def step_method_a(
     """
     p = validate_norm_order(p)
     gate = _open_gate(state, g, store.features_of(state.featured), p)
-    added, rejected, _, _, estimates = _accept_a(gate, state.epsilon)
+    added, rejected, _, _, estimates = _accept_a(gate, [state.epsilon])[0]
     store.set_estimated_many(added, estimates, state.step)
     return added, rejected, _advance(state, added, rejected)
 

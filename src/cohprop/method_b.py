@@ -15,18 +15,23 @@ switches it to the incoherence of the candidate's co-neighbor set instead.
 
 The pivot gate is the coherence gate of :mod:`cohprop.features`, the one
 that method A and ``coherent_neighborhood`` use too. The rest of the step
-is products of :func:`cohprop.graph.incidence` matrices.
+is one rule, :func:`_accept_b`, over that gate and a grid of thresholds: a
+step applies it at its one threshold, and a first-step protocol at its
+whole grid. The rule builds one candidate x pivot incidence, at the
+grid's largest threshold, and walks back through the gate's own
+back-incidence; a smaller threshold cuts that incidence to its own pivots
+and candidates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .features import FeatureStore, _group_stats, validate_norm_order
-from .graph import DirectedGraph, Direction, as_node_array, incidence
+from .features import FeatureStore, _group_stats, _validate_epsilon, validate_norm_order
+from .graph import DirectedGraph, Direction, _take_rows, as_node_array, incidence
 from .graph import grouped_restricted_neighbors  # noqa: F401  (perfbench/spans.py wraps it here)
 from .method_a import (PropagationResult, PropagationState, _advance, _blacklist, _Gate,
                        _open_gate, _Outcome, _run)
@@ -58,16 +63,15 @@ class PivotSet:
         return int(self.nodes.size)
 
 
-def _split_pivots(gate: _Gate, epsilon: float) -> tuple[PivotSet, np.ndarray]:
-    """Method B's pivot rule at ``epsilon``: ``(pivots, newly_excluded)``.
+def _split_pivots(gate: _Gate, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Method B's pivot rule at ``epsilon``: ``(rows, newly_excluded)``.
 
     Gated candidates within the threshold that are not blacklisted become
-    pivots, with their gate centroid as provisional feature; the fresh
-    ones beyond it are blacklisted.
+    pivots; ``rows`` are their gate rows, in node order. The fresh
+    candidates beyond the threshold are blacklisted.
     """
     ok = gate.inc <= epsilon
-    keep = ok & ~gate.excluded[gate.cand]
-    return PivotSet(gate.cand[keep], gate.centers[keep], gate.state.step), _blacklist(gate, ok)
+    return np.flatnonzero(ok & ~gate.excluded[gate.cand]), _blacklist(gate, ok)
 
 
 def compute_pivots(
@@ -86,7 +90,8 @@ def compute_pivots(
     """
     p = validate_norm_order(p)
     gate = _open_gate(state, g, store.features_of(state.featured), p)
-    return _split_pivots(gate, state.epsilon)
+    rows, rejected = _split_pivots(gate, state.epsilon)
+    return PivotSet(gate.cand[rows], gate.centers[rows], state.step), rejected
 
 
 def co_neighbors(g: DirectedGraph, v: int, pivots, members, direction: Direction) -> np.ndarray:
@@ -104,49 +109,101 @@ def co_neighbors(g: DirectedGraph, v: int, pivots, members, direction: Direction
     return members[np.sort(pattern.indices)]
 
 
-def _co_neighbor_stats(C: sparse.csr_array, B: sparse.csr_array, table: np.ndarray, p=None):
-    """``_group_stats`` of each row's co-neighbor set: its row of the 0/1 pattern of C @ B."""
-    pattern = C @ B
+def _cut(indices: np.ndarray, indptr: np.ndarray, rows: np.ndarray, entries: np.ndarray):
+    """CSR arrays of the rows in the mask ``rows``, keeping the entries in the mask ``entries``.
+
+    ``entries`` marks no entry of a dropped row. Indices keep their values
+    and their order: a kept row ends where the running count of kept
+    entries stands at its old end.
+    """
+    kept = np.zeros(entries.size + 1, dtype=np.int64)
+    np.cumsum(entries, out=kept[1:])
+    return indices[entries], np.concatenate(([0], kept[indptr[1:][rows]]))
+
+
+def _co_neighbor_stats(gate: _Gate, indices: np.ndarray, indptr: np.ndarray, p=None):
+    """``_group_stats`` of each candidate's co-neighbor set.
+
+    Candidate k is the CSR row k of ``(indices, indptr)`` over the gate's
+    candidates; its co-neighbor set is its row of the 0/1 pattern of that
+    matrix times the gate's M, the back-connections of its pivots.
+    """
+    C = sparse.csr_array((np.ones(indices.size, dtype=bool), indices, indptr),
+                         shape=(indptr.size - 1, gate.cand.size))
+    pattern = C @ gate.M
     pattern.sort_indices()  # each set measured from its first member, in node order
-    return _group_stats(table, pattern.indices, pattern.indptr, p)
+    return _group_stats(gate.table, pattern.indices, pattern.indptr, p)
 
 
-def _accept_b(gate: _Gate, epsilon: float, scored: Optional[np.ndarray] = None,
-              candidate_test: str = "pivot-features") -> _Outcome:
-    """Method B's rule at ``epsilon`` over an open gate.
+def _accept_b(gate: _Gate, grid: Sequence[float], scored: Optional[np.ndarray] = None,
+              candidate_test: str = "pivot-features") -> list[_Outcome]:
+    """Method B's rule over an open gate: one outcome per threshold of ``grid``, in its order.
 
-    Pivots and blacklist come from :func:`_split_pivots`. The fresh
-    candidates behind the pivots that pass the candidate test are added,
-    estimated as the centroid of their co-neighbors. With a node mask
-    ``scored`` only the additions in it are estimated; the co-neighbors
-    test still measures every candidate's co-neighbor set.
+    ``candidate_test`` is checked first, then every threshold, before any
+    is applied. At a threshold, the pivots and the blacklist come from
+    :func:`_split_pivots`; the fresh candidates behind the pivots that
+    pass the candidate test are added, estimated as the centroid of their
+    co-neighbors. With a node mask ``scored`` only the additions in it are
+    estimated; the co-neighbors test still measures every candidate's
+    co-neighbor set.
+
+    At one gate the pivots grow with the threshold, the blacklist shrinks,
+    and so the fresh candidates behind the pivots grow. So the rule builds
+    the candidate x pivot incidence C once, at the grid's largest
+    threshold, with the gate's candidates as columns. A smaller threshold
+    cuts C to the entries of its pivots and to the rows that still reach
+    one and are not blacklisted; a threshold with the largest one's pivots
+    uses C as it is. Row k of the 0/1 pattern of C @ M is the co-neighbor
+    set of candidate k. Every fresh candidate has a pivot (it was reached
+    through one), and every pivot has a featured back-connection (it
+    passed the gate on one), so every group measured is nonempty.
     """
     if candidate_test not in CANDIDATE_TESTS:
         raise ValueError(f"candidate_test must be one of {CANDIDATE_TESTS}")
-    pivots, rejected = _split_pivots(gate, epsilon)
-    g, d = gate.g, gate.state.direction
+    grid = [_validate_epsilon(eps) for eps in grid]
+    if not grid:
+        return []
+    top = max(grid)
+    g, d, cand, inc = gate.g, gate.state.direction, gate.cand, gate.inc
+    rows, rejected = _split_pivots(gate, top)
     blocked = gate.featured | gate.excluded
     blocked[rejected] = True  # same-step pivot failures cannot be featured
-    reach = g.neighborhood(pivots.nodes, d.opposite)
-    added = reach[~blocked[reach]]
+    reach = g.neighborhood(cand[rows], d.opposite)
+    fresh = reach[~blocked[reach]]
+    C = incidence(g, fresh, cand[rows], d)
+    indices, indptr = rows[C.indices], C.indptr  # columns: gate rows of the pivots
+    if min(grid) < top:  # only a threshold with fewer pivots than the top one cuts C
+        # the threshold from which each entry takes part: its pivot must be one,
+        # and a row that is a fresh gate candidate must not be blacklisted; a
+        # row takes part from its first entry on
+        own = np.full(g.node_count, -np.inf)
+        own[cand] = inc
+        entry_at = np.maximum(inc[indices], np.repeat(own[fresh], np.diff(indptr)))
+        row_at = np.minimum.reduceat(entry_at, indptr[:-1])
 
-    C = incidence(g, added, pivots.nodes, d)
-    B = incidence(g, pivots.nodes, gate.state.featured, d.opposite)
-    if candidate_test == "pivot-features":
-        inc, _ = _group_stats(pivots.features, C.indices, C.indptr, gate.p)
-        ok = inc <= epsilon
-        added, C = added[ok], C[ok]
-        if scored is not None:
-            C = C[scored[added]]
-        _, estimates = _co_neighbor_stats(C, B, gate.table)
-    else:
-        inc, estimates = _co_neighbor_stats(C, B, gate.table, gate.p)
-        ok = inc <= epsilon
-        added, estimates = added[ok], estimates[ok]
-        if scored is not None:
-            estimates = estimates[scored[added]]
-    estimated = added if scored is None else added[scored[added]]
-    return _Outcome(added, rejected, len(pivots), estimated, estimates)
+    outcomes = []
+    pivot_inc = inc[rows]
+    for epsilon in grid:
+        pivots = int(np.count_nonzero(pivot_inc <= epsilon))
+        if pivots == rows.size:
+            added, idx, ptr = fresh, indices, indptr
+        else:
+            live = row_at <= epsilon
+            added = fresh[live]
+            idx, ptr = _cut(indices, indptr, live, entry_at <= epsilon)
+        if candidate_test == "pivot-features":
+            tested, _ = _group_stats(gate.centers, idx, ptr, gate.p)
+            ok = tested <= epsilon
+            pick = ok if scored is None else ok & scored[added]
+            _, estimates = _co_neighbor_stats(gate, *_take_rows(idx, ptr, np.flatnonzero(pick)))
+        else:
+            tested, estimates = _co_neighbor_stats(gate, idx, ptr, gate.p)
+            ok = tested <= epsilon
+            pick = ok if scored is None else ok & scored[added]
+            estimates = estimates[pick]
+        outcomes.append(_Outcome(added[ok], _blacklist(gate, inc <= epsilon), pivots,
+                                 added[pick], estimates))
+    return outcomes
 
 
 def step_method_b(
@@ -162,20 +219,16 @@ def step_method_b(
     the candidate coherence test are simply skipped and may qualify at a
     later step.
 
-    The step is sparse linear algebra over two incidences: C, fresh
-    candidate x pivot, and B, pivot x featured node. Row k of the 0/1
-    pattern of C @ B is the co-neighbor set of candidate k. Its estimate is
-    the centroid that the coherence gate computes, centred on a member, so
-    identical co-neighbors give back their common vector exactly. Every
-    fresh candidate has a pivot (it was reached through one), and every
-    pivot has a featured back-connection (it passed the gate on one), so
-    every co-neighbor set is nonempty. The featured set's features are
-    gathered once, for the gate and the estimates.
+    The step is :func:`_accept_b` at the state's one threshold. Each
+    estimate is the centroid that the coherence gate computes, centred on a
+    member, so identical co-neighbors give back their common vector
+    exactly. The featured set's features are gathered once, for the gate
+    and the estimates.
     """
     p = validate_norm_order(p)
     gate = _open_gate(state, g, store.features_of(state.featured), p)
-    added, rejected, pivots, _, estimates = _accept_b(gate, state.epsilon,
-                                                      candidate_test=candidate_test)
+    added, rejected, pivots, _, estimates = _accept_b(gate, [state.epsilon],
+                                                      candidate_test=candidate_test)[0]
     store.set_estimated_many(added, estimates, state.step)
     return added, rejected, _advance(state, added, rejected, pivots=pivots)
 

@@ -145,6 +145,14 @@ def reference_load_edge_list(source, sep=",", comment="#"):
                                     node_count=len(ids), labels=list(ids))
 
 
+def reference_write_edge_list(path, g):
+    """Edge list one edge at a time: each node's followees, label by label."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for u in range(g.node_count):
+            for v in g.neighbors(u, Direction.UP).tolist():
+                fh.write(f"{g.label_of(u)},{g.label_of(v)}\n")
+
+
 def reference_write_features_csv(path, store, graph, include_provenance=False):
     """Features CSV one node at a time: label, repr of each value, provenance."""
     header = ["node_label"] + [f"f{i + 1}" for i in range(store.dim)]

@@ -1,11 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cohprop
 from cohprop.cli import main
 from cohprop.evaluation import CSV_COLUMNS
+from cohprop.synthetic import PlantedConfig, generate_planted
+from oracles import reference_write_edge_list
 
 SUBCOMMANDS = ["ingest", "scale", "generate", "propagate", "evaluate", "report"]
 
@@ -107,6 +113,9 @@ class TestGenerate:
         truth_rows = (out / "truth.csv").read_text().splitlines()
         assert len(truth_rows) == 61
         assert (out / "manifest_generate.json").exists()
+        g, _, _ = generate_planted(PlantedConfig.from_json(cfg_path))
+        reference_write_edge_list(tmp_path / "want.csv", g)
+        assert (out / "edges.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestPropagate:
@@ -217,3 +226,50 @@ class TestConfigAndEnv:
                    "--out-labels", "labels.csv"])
         assert rc == 0
         assert (target / "labels.csv").exists()
+
+
+# generate -> scale -> propagate (a, b) -> evaluate (kfold-b, sweep-a); every path is
+# relative to the working directory, so that the manifests can be compared too
+PIPELINE = """
+import sys
+from cohprop.cli import main
+graph = ["--graph", "edges.csv"]
+runs = [
+    ["generate", "--config", "planted.json", "--out-edges", "edges.csv",
+     "--out-features", "truth.csv", "--out-elites", "elites.txt"],
+    ["scale", *graph, "--elites", "elites.txt", "--out-rows", "rows.csv",
+     "--out-cols", "cols.csv", "--report", "scale.json"],
+    *(["propagate", *graph, "--method", m, "--direction", "up", "--epsilon", "0.3",
+       "--max-steps", "3", "--seed-features", "rows.csv", "--out-dir", f"propagate_{m}",
+       "--out", "features.csv", "--log", "steps.csv", "--log-pivots", "pivots.csv"]
+      for m in "ab"),
+    *(["evaluate", *graph, "--protocol", protocol, "--features", "truth.csv",
+       "--epsilon-grid", "0.3,0.05,0.3,0.15", "--sample-size", "60", "--k", "4",
+       "--out-dir", protocol, "--out", "report.csv", "--out-json", "report.json"]
+      for protocol in ("kfold-b", "sweep-a")),
+]
+for argv in runs:
+    if main(argv):
+        sys.exit(1)
+"""
+
+
+def test_pipeline_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    config = {"n_nodes": 300, "n_elites": 8, "beta": 3.0, "mean_out_degree": 8.0,
+              "elite_attractiveness": 40.0, "seed": 4}
+    src = str(Path(cohprop.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "12345"):
+        run = tmp_path / f"hash_{hash_seed}"
+        run.mkdir()
+        (run / "planted.json").write_text(json.dumps(config))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", PIPELINE], cwd=run, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append({str(path.relative_to(run)): path.read_bytes()
+                        for path in sorted(run.rglob("*")) if path.is_file()})
+    # the config, 4 files from generate, 4 from scale, 4 and 3 from propagate b and a,
+    # and 3 from each evaluate, manifests included
+    assert len(outputs[0]) == 22
+    assert outputs[0] == outputs[1]

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cohprop.features
+import cohprop.method_b
 from cohprop.evaluation import (
     CSV_COLUMNS,
     EvaluationReport,
@@ -17,7 +19,7 @@ from cohprop.evaluation import (
 )
 from cohprop.features import FeatureStore, centroid, estimation_error
 from cohprop.graph import DirectedGraph, Direction, node_mask
-from cohprop.method_a import _accept_a, init_state, step_method_a
+from cohprop.method_a import _accept_a, _open_gate, init_state, step_method_a
 from cohprop.method_b import _accept_b, co_neighbors, compute_pivots, step_method_b
 from cohprop.synthetic import PlantedConfig, generate_planted
 from conftest import store_from
@@ -384,6 +386,83 @@ class TestFirstStepsMatchTheStepLoop:
         assert repr(got) == repr(reference_kfold_rows(*args, candidate_test=candidate_test))
 
 
+def outcome_bits(outcome):
+    """Every field of a step outcome, arrays as dtype, shape and raw bytes."""
+    return [field if field is None or isinstance(field, int)
+            else (field.dtype.str, field.shape, field.tobytes()) for field in outcome]
+
+
+def assert_grid_matches_single_thresholds(g, store, state, grid, scored, p, candidate_test):
+    """``_accept_b`` over a grid gives, at each threshold, the one-threshold call on a new gate."""
+    table = store.features_of(state.featured)
+    got = _accept_b(_open_gate(state, g, table, p), grid, scored, candidate_test)
+    assert len(got) == len(grid)
+    for eps, outcome in zip(grid, got):
+        alone = _accept_b(_open_gate(state, g, table, p), [eps], scored, candidate_test)
+        assert outcome_bits(outcome) == outcome_bits(alone[0])
+    return got
+
+
+class TestGridRuleMatchesSingleThresholds:
+    """Method B's rule built once at the largest threshold and cut for the smaller ones."""
+
+    @given(protocol_instances, st.sampled_from(CANDIDATE_TESTS), st.booleans(),
+           st.integers(0, 2), st.sampled_from([0.05, 0.37, 2.3]))
+    def test_every_outcome_field(self, inst, candidate_test, with_scored, steps, eps0):
+        # a few whole steps first, so the gate also meets excluded and estimated nodes
+        g, truth, pool, _ = build_protocol_case(inst)
+        store = truth.subset(pool)
+        state = init_state(store, pool, inst["direction"], eps0)
+        for _ in range(steps):
+            _, _, state = step_method_b(state, g, store, p=inst["p"],
+                                        candidate_test=candidate_test)
+        rng = np.random.default_rng(inst["seed"] + 2)
+        scored = rng.random(g.node_count) < 0.5 if with_scored else None
+        assert_grid_matches_single_thresholds(g, store, state, inst["grid"], scored, inst["p"],
+                                              candidate_test)
+
+    @pytest.mark.parametrize("candidate_test", CANDIDATE_TESTS)
+    @pytest.mark.parametrize("with_scored", [False, True])
+    def test_planted_grid_cuts(self, candidate_test, with_scored):
+        cfg = PlantedConfig(n_nodes=400, n_elites=10, beta=4.0, mean_out_degree=6.0, seed=6)
+        g, truth, _ = generate_planted(cfg)
+        pool = spatial_uniform_sample(truth, np.arange(400), 60, grid_bins=6, seed=2)
+        scored = np.random.default_rng(0).random(400) < 0.5 if with_scored else None
+        grid = [0.4, 0.05, 0.2, 0.05, 0.0, 0.1]
+        got = assert_grid_matches_single_thresholds(
+            g, truth, init_state(truth, pool, Direction.UP, 0.4), grid, scored, 2.0,
+            candidate_test)
+        # the smaller thresholds have fewer pivots, so their incidence is cut
+        assert len({outcome.pivots for outcome in got}) == len(set(grid))
+
+
+def count_incidence_builds(monkeypatch):
+    """Count ``graph.incidence`` calls where the gate and method B look it up."""
+    calls = []
+    for module in (cohprop.features, cohprop.method_b):
+        def counted(*args, _build=module.incidence, **kwargs):
+            calls.append(args[0])
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(module, "incidence", counted)
+    return calls
+
+
+@pytest.mark.parametrize("candidate_test", CANDIDATE_TESTS)
+def test_incidence_builds_do_not_grow_with_the_grid(monkeypatch, candidate_test):
+    cfg = PlantedConfig(n_nodes=400, n_elites=10, beta=4.0, mean_out_degree=6.0, seed=6)
+    g, truth, _ = generate_planted(cfg)
+    pool = spatial_uniform_sample(truth, np.arange(400), 60, grid_bins=6, seed=2)
+    calls = count_incidence_builds(monkeypatch)
+    for grid in ([0.2], [0.4, 0.05, 0.2, 0.05, 0.0, 1.0, 0.7, 0.3]):
+        calls.clear()
+        kfold_eval_method_b(g, truth, pool, 8, Direction.UP, grid, seed=9,
+                            candidate_test=candidate_test)
+        assert len(calls) == 2 * 8  # per fold: the gate's M and the rule's C
+        calls.clear()
+        sweep_method_a(g, truth, pool, Direction.UP, grid)
+        assert len(calls) == 1
+
+
 class TestFirstStepErrors:
     """The protocols fail where, and as, the per-threshold step loop fails."""
 
@@ -412,6 +491,34 @@ class TestFirstStepErrors:
             kfold_eval_method_b(*args, candidate_test="pivots")
         assert raised(lambda: kfold_eval_method_b(*args, candidate_test="pivots")) == raised(
             lambda: reference_kfold_rows(*args, candidate_test="pivots"))
+
+    @pytest.mark.parametrize("grid", [[0.5, float("nan")], [0.5, -1.0], [-0.1]])
+    def test_candidate_test_against_later_thresholds(self, grid):
+        # the step loop checks the first threshold, then the candidate test,
+        # then each later threshold
+        g, truth, pool = self.case()
+        args = (g, truth, pool, 3, Direction.UP, grid, 0)
+        want = "coherence threshold must be >= 0" if grid[0] < 0 else "candidate_test must be one of"
+        with pytest.raises(ValueError, match=want):
+            kfold_eval_method_b(*args, candidate_test="pivots")
+        assert raised(lambda: kfold_eval_method_b(*args, candidate_test="pivots")) == raised(
+            lambda: reference_kfold_rows(*args, candidate_test="pivots"))
+
+    @pytest.mark.parametrize("seed_truth", ["missing", "estimated"])
+    @pytest.mark.parametrize("grid", [[-0.1], [0.5, float("nan")]])
+    def test_seed_truth_before_every_option(self, seed_truth, grid):
+        g, _ = tiny_instance()
+        truth = store_from([[0.0], [0.05], [0.1]])
+        if seed_truth == "estimated":
+            truth.set_estimated(5, [0.12], 0)
+        args = (g, truth, [0, 1, 2, 5], 2, Direction.UP, grid, 0)
+        got = raised(lambda: kfold_eval_method_b(*args, candidate_test="pivots"))
+        assert got == raised(lambda: reference_kfold_rows(*args, candidate_test="pivots"))
+        if seed_truth == "missing":
+            assert got == (KeyError, "'no features for node 5'")
+        else:
+            assert got[0] is ValueError
+            assert got[1].startswith("coherence threshold" if grid[0] < 0 else "seed node 5")
 
     @staticmethod
     def protocol_calls(g, truth):

@@ -21,7 +21,13 @@ from cohprop.graph import (
     load_edge_list,
     node_mask,
 )
-from oracles import naive_neighborhood, naive_neighbors, random_graph, reference_load_edge_list
+from oracles import (
+    naive_neighborhood,
+    naive_neighbors,
+    random_graph,
+    reference_load_edge_list,
+    reference_write_edge_list,
+)
 
 
 def ids(g, labels):
@@ -95,6 +101,23 @@ class TestLoadEdgeList:
         assert rows == [
             ["label", "node_id"], ["a,b", "0"], ['"c"', "1"], ["d", "2"], ["\u00e9 x", "3"],
         ]
+
+    def test_parsed_label_lookup_does_not_grow(self):
+        g = load_edge_list(b"a,b\n")
+        for _ in range(2):
+            with pytest.raises(UnknownNodeError):
+                g.id_of("c")
+        assert g.labels == ("a", "b") and g.id_of("b") == 1
+
+    def test_labels_passed_in_are_strings_and_unique(self):
+        g = DirectedGraph.from_edges([(0, 1)], labels=[7, "x"])
+        assert g.labels == ("7", "x") and g.id_of("7") == 0
+        with pytest.raises(ValueError, match="labels must be unique"):
+            DirectedGraph.from_edges([(0, 1)], labels=["a", "a"])
+        with pytest.raises(ValueError, match="labels must be unique"):
+            DirectedGraph.from_edges([(0, 1)], labels=[1, "1"])
+        with pytest.raises(ValueError, match="label list length"):
+            DirectedGraph.from_edges([(0, 1)], labels=["a"])
 
     def test_label_map_export(self, tmp_path):
         g = load_edge_list(b"a,b\nc,b\n")
@@ -347,6 +370,29 @@ class TestFromEdgesProperties:
         assert g.self_loops_dropped == loops
         assert g.duplicates_collapsed == len(pairs) - loops - len({(u, v) for u, v in pairs if u != v})
         assert g.edge_count == len({(u, v) for u, v in pairs if u != v})
+
+
+class TestEdgeListWriter:
+    @given(edge_lists, st.lists(st.text(alphabet="ab\u00e9 :", min_size=1, max_size=3),
+                                min_size=15, max_size=15, unique=True),
+           st.sampled_from([1, 2, 3, graph_module._BLOCK_LINES]))
+    def test_same_bytes_as_the_edge_loop(self, case, names, block_lines):
+        n, pairs = case
+        g = DirectedGraph.from_edges(pairs, node_count=n, labels=names[:n])
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            with mock.patch.object(graph_module, "_BLOCK_LINES", block_lines):
+                g.write_edge_list(got)
+            reference_write_edge_list(want, g)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_round_trip(self, tmp_path):
+        g = load_edge_list(b"a,b\nc,b\nb,a\n")
+        g.write_edge_list(tmp_path / "edges.csv")
+        assert (tmp_path / "edges.csv").read_text() == "a,b\nb,a\nc,b\n"
+        back = load_edge_list(tmp_path / "edges.csv")
+        assert back.labels == g.labels
+        assert back._fwd_indices.tolist() == g._fwd_indices.tolist()
 
 
 class TestIncidenceProperties:
