@@ -174,11 +174,13 @@ def _first_steps(accept, g, truth, seed, direction, epsilon_grid, scored, p, **k
     and its coherence gate is opened once, since neither depends on the
     threshold; the rule then takes that gate and the whole grid. Only the
     additions in the node mask ``scored`` are estimated, and nothing is
-    written to a store. Returns ``(eps, outcome)`` pairs in grid order.
+    written to a store. Returns an iterator of ``(eps, outcome)`` pairs in
+    grid order, so one outcome is held at a time.
 
     Errors come in the order of the per-threshold step loop: a seed node
     without truth, then the first threshold and the seed's provenance (in
-    ``init_state``), then the rule's own options and the other thresholds.
+    ``init_state``), then, when the first pair is taken, the rule's own
+    options and the other thresholds.
     """
     grid = list(epsilon_grid)
     if not grid:

@@ -15,7 +15,7 @@ from collections import defaultdict
 from enum import Enum
 from itertools import count, islice, repeat
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple, Sequence, Union
+from typing import IO, Iterator, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -127,17 +127,6 @@ def _take_rows(indices: np.ndarray, indptr: np.ndarray, rows: np.ndarray):
     return indices[np.arange(bounds[-1]) + offsets], bounds
 
 
-class _Interned(NamedTuple):
-    """Labels interned by :func:`load_edge_list`: unique strings and their ids, in id order.
-
-    Passed as ``labels``, they are taken as they are: the parse has already
-    built both, and its labels cannot repeat.
-    """
-
-    labels: tuple[str, ...]
-    ids: dict[str, int]
-
-
 class DirectedGraph:
     """Directed graph over dense integer node ids 0..node_count-1.
 
@@ -163,17 +152,14 @@ class DirectedGraph:
         self._rev_indices = np.asarray(rev_indices, dtype=np.int64)
         for arr in (self._fwd_indptr, self._fwd_indices, self._rev_indptr, self._rev_indices):
             arr.setflags(write=False)
-        if isinstance(labels, _Interned):
-            self._labels, self._ids = labels
-        else:
-            if labels is None:
-                labels = range(self._n)
-            if len(labels) != self._n:
-                raise ValueError("label list length must equal node count")
-            self._labels = tuple(map(str, labels))
-            self._ids = dict(zip(self._labels, count()))
-            if len(self._ids) != self._n:
-                raise ValueError("labels must be unique")
+        if labels is None:
+            labels = range(self._n)
+        if len(labels) != self._n:
+            raise ValueError("label list length must equal node count")
+        self._labels = tuple(map(str, labels))
+        self._ids = dict(zip(self._labels, count()))
+        if len(self._ids) != self._n:
+            raise ValueError("labels must be unique")
         self.self_loops_dropped = int(self_loops_dropped)
         self.duplicates_collapsed = int(duplicates_collapsed)
 
@@ -413,6 +399,7 @@ def load_edge_list(
 
     if not ids:
         raise ValueError("edge-list stream contains no records")
-    ids.default_factory = None  # a plain lookup from here on: an unknown label is a KeyError
-    return DirectedGraph.from_edges(np.concatenate(blocks).reshape(-1, 2), node_count=len(ids),
-                                    labels=_Interned(tuple(ids), ids))
+    labels = list(ids)
+    del ids  # the graph builds its own label map, and two need not be alive at once
+    return DirectedGraph.from_edges(np.concatenate(blocks).reshape(-1, 2),
+                                    node_count=len(labels), labels=labels)

@@ -10,7 +10,7 @@ node can never become coherent later through freshly propagated features.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -174,22 +174,21 @@ class _Outcome(NamedTuple):
 
 
 def _accept_a(gate: _Gate, grid: Sequence[float],
-              scored: Optional[np.ndarray] = None) -> list[_Outcome]:
+              scored: Optional[np.ndarray] = None) -> Iterator[_Outcome]:
     """Method A's rule over an open gate: one outcome per threshold of ``grid``, in its order.
 
-    Every threshold is checked before any is applied. At a threshold, fresh
+    A generator, so a caller holds one outcome at a time; every threshold
+    is checked before the first one. At a threshold, fresh
     candidates within it are added, estimated as their gate centroid; the
     others are blacklisted. With a node mask ``scored`` only the additions
     in it are estimated.
     """
-    outcomes = []
     for epsilon in [_validate_epsilon(eps) for eps in grid]:
         ok = gate.inc <= epsilon
         accept = gate.fresh & ok
         rows = accept if scored is None else accept & scored[gate.cand]
-        outcomes.append(_Outcome(gate.cand[accept], _blacklist(gate, ok), None,
-                                 gate.cand[rows], gate.centers[rows]))
-    return outcomes
+        yield _Outcome(gate.cand[accept], _blacklist(gate, ok), None,
+                       gate.cand[rows], gate.centers[rows])
 
 
 def step_method_a(
@@ -210,7 +209,7 @@ def step_method_a(
     """
     p = validate_norm_order(p)
     gate = _open_gate(state, g, store.features_of(state.featured), p)
-    added, rejected, _, _, estimates = _accept_a(gate, [state.epsilon])[0]
+    added, rejected, _, _, estimates = next(_accept_a(gate, [state.epsilon]))
     store.set_estimated_many(added, estimates, state.step)
     return added, rejected, _advance(state, added, rejected)
 

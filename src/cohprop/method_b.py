@@ -25,7 +25,7 @@ and candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -136,11 +136,12 @@ def _co_neighbor_stats(gate: _Gate, indices: np.ndarray, indptr: np.ndarray, p=N
 
 
 def _accept_b(gate: _Gate, grid: Sequence[float], scored: Optional[np.ndarray] = None,
-              candidate_test: str = "pivot-features") -> list[_Outcome]:
+              candidate_test: str = "pivot-features") -> Iterator[_Outcome]:
     """Method B's rule over an open gate: one outcome per threshold of ``grid``, in its order.
 
-    ``candidate_test`` is checked first, then every threshold, before any
-    is applied. At a threshold, the pivots and the blacklist come from
+    A generator, so a caller holds one outcome at a time. Before the first
+    one it checks ``candidate_test``, then every threshold, and builds C.
+    At a threshold, the pivots and the blacklist come from
     :func:`_split_pivots`; the fresh candidates behind the pivots that
     pass the candidate test are added, estimated as the centroid of their
     co-neighbors. With a node mask ``scored`` only the additions in it are
@@ -162,7 +163,7 @@ def _accept_b(gate: _Gate, grid: Sequence[float], scored: Optional[np.ndarray] =
         raise ValueError(f"candidate_test must be one of {CANDIDATE_TESTS}")
     grid = [_validate_epsilon(eps) for eps in grid]
     if not grid:
-        return []
+        return
     top = max(grid)
     g, d, cand, inc = gate.g, gate.state.direction, gate.cand, gate.inc
     rows, rejected = _split_pivots(gate, top)
@@ -179,9 +180,9 @@ def _accept_b(gate: _Gate, grid: Sequence[float], scored: Optional[np.ndarray] =
         own = np.full(g.node_count, -np.inf)
         own[cand] = inc
         entry_at = np.maximum(inc[indices], np.repeat(own[fresh], np.diff(indptr)))
+        del own  # n floats that no threshold needs again
         row_at = np.minimum.reduceat(entry_at, indptr[:-1])
 
-    outcomes = []
     pivot_inc = inc[rows]
     for epsilon in grid:
         pivots = int(np.count_nonzero(pivot_inc <= epsilon))
@@ -201,9 +202,8 @@ def _accept_b(gate: _Gate, grid: Sequence[float], scored: Optional[np.ndarray] =
             ok = tested <= epsilon
             pick = ok if scored is None else ok & scored[added]
             estimates = estimates[pick]
-        outcomes.append(_Outcome(added[ok], _blacklist(gate, inc <= epsilon), pivots,
-                                 added[pick], estimates))
-    return outcomes
+        yield _Outcome(added[ok], _blacklist(gate, inc <= epsilon), pivots,
+                       added[pick], estimates)
 
 
 def step_method_b(
@@ -227,8 +227,8 @@ def step_method_b(
     """
     p = validate_norm_order(p)
     gate = _open_gate(state, g, store.features_of(state.featured), p)
-    added, rejected, pivots, _, estimates = _accept_b(gate, [state.epsilon],
-                                                      candidate_test=candidate_test)[0]
+    added, rejected, pivots, _, estimates = next(_accept_b(gate, [state.epsilon],
+                                                           candidate_test=candidate_test))
     store.set_estimated_many(added, estimates, state.step)
     return added, rejected, _advance(state, added, rejected, pivots=pivots)
 

@@ -395,11 +395,11 @@ def outcome_bits(outcome):
 def assert_grid_matches_single_thresholds(g, store, state, grid, scored, p, candidate_test):
     """``_accept_b`` over a grid gives, at each threshold, the one-threshold call on a new gate."""
     table = store.features_of(state.featured)
-    got = _accept_b(_open_gate(state, g, table, p), grid, scored, candidate_test)
+    got = list(_accept_b(_open_gate(state, g, table, p), grid, scored, candidate_test))
     assert len(got) == len(grid)
     for eps, outcome in zip(grid, got):
-        alone = _accept_b(_open_gate(state, g, table, p), [eps], scored, candidate_test)
-        assert outcome_bits(outcome) == outcome_bits(alone[0])
+        alone = next(_accept_b(_open_gate(state, g, table, p), [eps], scored, candidate_test))
+        assert outcome_bits(outcome) == outcome_bits(alone)
     return got
 
 
