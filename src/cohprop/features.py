@@ -273,14 +273,15 @@ def _gate(g: DirectedGraph, table: np.ndarray, V: np.ndarray, direction: Directi
 
     ``table`` holds the features of V, row k for V[k]. ``cand`` is
     ``g.neighborhood(V, direction)``, and ``M`` is its opposite-direction
-    incidence against V: row k holds cand[k]'s back-connections into V,
-    nonempty because cand[k] was reached from V. Entry k of ``inc`` and
-    ``centers`` is the incoherence and centroid of that row. Callers apply
-    their own rule to the result; method B also walks back through M's rows.
+    incidence against V as CSR arrays ``(indices, indptr)``: row k holds
+    cand[k]'s back-connections into V, nonempty because cand[k] was reached
+    from V. Entry k of ``inc`` and ``centers`` is the incoherence and
+    centroid of that row. Callers apply their own rule to the result;
+    method B also walks back through M's rows.
     """
     cand = g.neighborhood(V, direction)
     M = incidence(g, cand, V, direction.opposite)
-    inc, centers = _group_stats(table, M.indices, M.indptr, p)
+    inc, centers = _group_stats(table, *M, p)
     return cand, inc, centers, M
 
 

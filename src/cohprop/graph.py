@@ -18,13 +18,13 @@ from pathlib import Path
 from typing import IO, Iterator, Sequence, Union
 
 import numpy as np
-from scipy import sparse
 
 logger = logging.getLogger(__name__)
 
 # edge-list lines parsed or written per block: a block's strings and lists are freed
 # before the next one, so the parse holds little beyond the labels and the ids
 _BLOCK_LINES = 1 << 12
+_COMMENT = "#"  # edge-list lines starting with this are skipped
 
 __all__ = [
     "Direction",
@@ -295,6 +295,13 @@ class DirectedGraph:
             writer.writerows(zip(self._labels, count()))
 
 
+def _restrict(indices: np.ndarray, indptr: np.ndarray, keep: np.ndarray):
+    """CSR arrays ``(indices, indptr)`` keeping the entries in the mask ``keep``; rows stay."""
+    kept = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    return indices[keep], kept[indptr]
+
+
 def grouped_restricted_neighbors(
     g: DirectedGraph, nodes: np.ndarray, allowed: np.ndarray, direction: Direction
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -304,35 +311,29 @@ def grouped_restricted_neighbors(
     ``flat[bounds[k]:bounds[k+1]]``.
     """
     flat, bounds = g._gather(np.asarray(nodes, dtype=np.int64), direction)
-    keep = allowed[flat]
-    kept_before = np.zeros(flat.size + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept_before[1:])
-    return flat[keep], kept_before[bounds]
+    return _restrict(flat, bounds, allowed[flat])
 
 
 def incidence(
     g: DirectedGraph, rows, cols: np.ndarray, direction: Direction
-) -> sparse.csr_array:
-    """0/1 incidence of ``rows`` against the sorted node array ``cols``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 incidence of ``rows`` against the sorted node array ``cols``, as CSR arrays.
 
-    Row k marks the positions in ``cols`` of the neighbors of rows[k] in
-    ``direction``, in increasing order: it is row rows[k] of that
-    direction's CSR, keeping only the ``cols`` columns. Rows may repeat.
+    Row k of ``(indices, indptr)`` holds the positions in ``cols`` of the
+    neighbors of rows[k] in ``direction``, in increasing order: it is row
+    rows[k] of that direction's CSR, keeping only the ``cols`` columns.
+    Rows may repeat.
     """
+    if cols.size and (cols[0] < 0 or cols[-1] >= g.node_count):
+        bad = cols[0] if cols[0] < 0 else cols[-1]
+        raise UnknownNodeError(f"node id {bad} outside 0..{g.node_count - 1}")
     flat, bounds = g._gather(np.asarray(rows, dtype=np.int64), direction)
     # one position map is both the membership test (-1: not a column) and the
     # column index; int32 keeps its copy of a hub-sized gather at half size
     pos = np.full(g.node_count, -1, dtype=np.int32 if cols.size < 2**31 else np.int64)
     pos[cols] = np.arange(cols.size)
     col = pos[flat]
-    keep = col >= 0
-    kept_before = np.zeros(flat.size + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept_before[1:])
-    col = col[keep]
-    return sparse.csr_array(
-        (np.ones(col.size, dtype=bool), col, kept_before[bounds]),
-        shape=(bounds.size - 1, cols.size),
-    )
+    return _restrict(col, bounds, col >= 0)
 
 
 def _iter_lines(source) -> Iterator[str]:
@@ -348,11 +349,11 @@ def _iter_lines(source) -> Iterator[str]:
         yield line.decode("utf-8") if isinstance(line, bytes) else line
 
 
-def _first_bad_record(block: list[str], first_line: int, sep: str, comment: str):
+def _first_bad_record(block: list[str], first_line: int, sep: str):
     """The error for the first malformed record of a block whose line 1 is ``first_line``."""
     for lineno, raw in enumerate(block, start=first_line):
         line = raw.strip()
-        if not line or line.startswith(comment):
+        if not line or line.startswith(_COMMENT):
             continue
         fields = [f.strip() for f in line.split(sep)]
         if len(fields) != 2:
@@ -366,13 +367,12 @@ def _first_bad_record(block: list[str], first_line: int, sep: str, comment: str)
 def load_edge_list(
     source: Union[str, Path, bytes, IO],
     sep: str = ",",
-    comment: str = "#",
 ) -> DirectedGraph:
     """Parse a ``follower<SEP>followee`` edge list into a graph.
 
-    One edge per line, UTF-8; lines starting with the comment prefix and
-    blank lines are skipped. Duplicate records are collapsed and self-loops
-    dropped with a counted warning. Raises :class:`EdgeListParseError` with
+    One edge per line, UTF-8; lines starting with ``#`` and blank lines are
+    skipped. Duplicate records are collapsed and self-loops dropped with a
+    counted warning. Raises :class:`EdgeListParseError` with
     the offending line number on malformed records and ``ValueError`` when
     the stream contains no records at all, or when ``sep`` is empty or
     holds a line break.
@@ -390,10 +390,10 @@ def load_edge_list(
     blocks = []  # int64 source and target ids of every record, in file order
     lines, first_line = _iter_lines(source), 1
     while block := list(islice(lines, _BLOCK_LINES)):
-        records = [r for r in map(str.strip, block) if r and not r.startswith(comment)]
+        records = [r for r in map(str.strip, block) if r and not r.startswith(_COMMENT)]
         labels = list(map(str.strip, joint.join(records).split(sep))) if records else []
         if list(map(str.count, records, repeat(sep))).count(1) != len(records) or "" in labels:
-            raise _first_bad_record(block, first_line, sep, comment)
+            raise _first_bad_record(block, first_line, sep)
         blocks.append(np.fromiter(map(ids.__getitem__, labels), dtype=np.int64, count=len(labels)))
         first_line += len(block)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .features import KNOWN, FeatureStore, _gate, validate_norm_order, _validate_epsilon
 from .graph import DirectedGraph, Direction, as_node_array, node_mask
@@ -123,7 +122,7 @@ class _Gate:
 
     ``table`` holds the features of ``state.featured`` in its order, and
     ``cand``, ``inc``, ``centers`` and ``M`` are what ``features._gate``
-    returns for it on ``g`` at norm order ``p``: row k of the incidence M
+    returns for it on ``g`` at norm order ``p``: M is CSR arrays whose row k
     holds the positions in ``state.featured`` of cand[k]'s back-connections.
     Method B walks back from its pivots through their rows of M.
     ``featured`` and ``excluded`` are node masks of the state's sets;
@@ -138,7 +137,7 @@ class _Gate:
     cand: np.ndarray
     inc: np.ndarray
     centers: np.ndarray
-    M: sparse.csr_array
+    M: tuple[np.ndarray, np.ndarray]
     featured: np.ndarray
     excluded: np.ndarray
     fresh: np.ndarray
@@ -207,11 +206,19 @@ def step_method_a(
     store tagged with the current step, and a fixed point shows up as two
     empty deltas.
     """
+    return _step(_accept_a, state, g, store, p)
+
+
+def _step(rule, state: PropagationState, g: DirectedGraph, store: FeatureStore, p, **options):
+    """One step of the method whose threshold rule is ``rule``: (added, excluded, new_state).
+
+    The featured set's features are gathered once, for the gate and the estimates.
+    """
     p = validate_norm_order(p)
     gate = _open_gate(state, g, store.features_of(state.featured), p)
-    added, rejected, _, _, estimates = next(_accept_a(gate, [state.epsilon]))
+    added, rejected, pivots, _, estimates = next(rule(gate, [state.epsilon], **options))
     store.set_estimated_many(added, estimates, state.step)
-    return added, rejected, _advance(state, added, rejected)
+    return added, rejected, _advance(state, added, rejected, pivots)
 
 
 def _run(step, store: FeatureStore, seed, direction: Direction, epsilon,

@@ -20,7 +20,8 @@ step applies it at its one threshold, and a first-step protocol at its
 whole grid. The rule builds one candidate x pivot incidence, at the
 grid's largest threshold, and walks back through the gate's own
 back-incidence; a smaller threshold cuts that incidence to its own pivots
-and candidates.
+and candidates. The walk back is :func:`_co_neighbor_sets`, which
+:func:`co_neighbors` runs too.
 """
 from __future__ import annotations
 
@@ -31,10 +32,10 @@ import numpy as np
 from scipy import sparse
 
 from .features import FeatureStore, _group_stats, _validate_epsilon, validate_norm_order
-from .graph import DirectedGraph, Direction, _take_rows, as_node_array, incidence
+from .graph import DirectedGraph, Direction, _restrict, _take_rows, as_node_array, incidence
 from .graph import grouped_restricted_neighbors  # noqa: F401  (perfbench/spans.py wraps it here)
-from .method_a import (PropagationResult, PropagationState, _advance, _blacklist, _Gate,
-                       _open_gate, _Outcome, _run)
+from .method_a import (PropagationResult, PropagationState, _blacklist, _Gate, _open_gate,
+                       _Outcome, _run, _step)
 
 __all__ = [
     "PivotSet",
@@ -105,34 +106,24 @@ def co_neighbors(g: DirectedGraph, v: int, pivots, members, direction: Direction
     pnodes = pivots.nodes if isinstance(pivots, PivotSet) else as_node_array(pivots, g.node_count)
     members = as_node_array(members, g.node_count)
     C = incidence(g, np.array([v], dtype=np.int64), pnodes, direction)
-    pattern = C @ incidence(g, pnodes, members, direction.opposite)
-    return members[np.sort(pattern.indices)]
+    indices, _ = _co_neighbor_sets(C, incidence(g, pnodes, members, direction.opposite),
+                                   members.size)
+    return members[indices]
 
 
-def _cut(indices: np.ndarray, indptr: np.ndarray, rows: np.ndarray, entries: np.ndarray):
-    """CSR arrays of the rows in the mask ``rows``, keeping the entries in the mask ``entries``.
+def _co_neighbor_sets(C, M, n_members: int):
+    """The 0/1 pattern of ``C @ M`` as CSR arrays ``(indices, indptr)``, each row sorted.
 
-    ``entries`` marks no entry of a dropped row. Indices keep their values
-    and their order: a kept row ends where the running count of kept
-    entries stands at its old end.
+    C and M are CSR arrays ``(indices, indptr)``; M has ``n_members``
+    columns. Row k is the union of the M rows that C's row k marks: with C
+    over pivots and M their back-incidence, a co-neighbor set.
     """
-    kept = np.zeros(entries.size + 1, dtype=np.int64)
-    np.cumsum(entries, out=kept[1:])
-    return indices[entries], np.concatenate(([0], kept[indptr[1:][rows]]))
-
-
-def _co_neighbor_stats(gate: _Gate, indices: np.ndarray, indptr: np.ndarray, p=None):
-    """``_group_stats`` of each candidate's co-neighbor set.
-
-    Candidate k is the CSR row k of ``(indices, indptr)`` over the gate's
-    candidates; its co-neighbor set is its row of the 0/1 pattern of that
-    matrix times the gate's M, the back-connections of its pivots.
-    """
-    C = sparse.csr_array((np.ones(indices.size, dtype=bool), indices, indptr),
-                         shape=(indptr.size - 1, gate.cand.size))
-    pattern = C @ gate.M
-    pattern.sort_indices()  # each set measured from its first member, in node order
-    return _group_stats(gate.table, pattern.indices, pattern.indptr, p)
+    (ci, cp), (mi, mp) = C, M
+    rows, mid = cp.size - 1, mp.size - 1
+    pattern = (sparse.csr_array((np.ones(ci.size, dtype=bool), ci, cp), shape=(rows, mid))
+               @ sparse.csr_array((np.ones(mi.size, dtype=bool), mi, mp), shape=(mid, n_members)))
+    pattern.sort_indices()
+    return pattern.indices, pattern.indptr
 
 
 def _accept_b(gate: _Gate, grid: Sequence[float], scored: Optional[np.ndarray] = None,
@@ -155,9 +146,10 @@ def _accept_b(gate: _Gate, grid: Sequence[float], scored: Optional[np.ndarray] =
     cuts C to the entries of its pivots and to the rows that still reach
     one and are not blacklisted; a threshold with the largest one's pivots
     uses C as it is. Row k of the 0/1 pattern of C @ M is the co-neighbor
-    set of candidate k. Every fresh candidate has a pivot (it was reached
-    through one), and every pivot has a featured back-connection (it
-    passed the gate on one), so every group measured is nonempty.
+    set of candidate k, measured from its first member in node order. Every
+    fresh candidate has a pivot (it was reached through one), and every
+    pivot has a featured back-connection (it passed the gate on one), so
+    every group measured is nonempty.
     """
     if candidate_test not in CANDIDATE_TESTS:
         raise ValueError(f"candidate_test must be one of {CANDIDATE_TESTS}")
@@ -166,13 +158,14 @@ def _accept_b(gate: _Gate, grid: Sequence[float], scored: Optional[np.ndarray] =
         return
     top = max(grid)
     g, d, cand, inc = gate.g, gate.state.direction, gate.cand, gate.inc
+    members = len(gate.table)
     rows, rejected = _split_pivots(gate, top)
     blocked = gate.featured | gate.excluded
     blocked[rejected] = True  # same-step pivot failures cannot be featured
     reach = g.neighborhood(cand[rows], d.opposite)
     fresh = reach[~blocked[reach]]
-    C = incidence(g, fresh, cand[rows], d)
-    indices, indptr = rows[C.indices], C.indptr  # columns: gate rows of the pivots
+    indices, indptr = incidence(g, fresh, cand[rows], d)
+    indices = rows[indices]  # columns: gate rows of the pivots
     if min(grid) < top:  # only a threshold with fewer pivots than the top one cuts C
         # the threshold from which each entry takes part: its pivot must be one,
         # and a row that is a fresh gate candidate must not be blacklisted; a
@@ -191,14 +184,17 @@ def _accept_b(gate: _Gate, grid: Sequence[float], scored: Optional[np.ndarray] =
         else:
             live = row_at <= epsilon
             added = fresh[live]
-            idx, ptr = _cut(indices, indptr, live, entry_at <= epsilon)
+            idx, ptr = _restrict(indices, indptr, entry_at <= epsilon)
+            ptr = np.concatenate(([0], ptr[1:][live]))  # a dropped row kept no entry
         if candidate_test == "pivot-features":
             tested, _ = _group_stats(gate.centers, idx, ptr, gate.p)
             ok = tested <= epsilon
             pick = ok if scored is None else ok & scored[added]
-            _, estimates = _co_neighbor_stats(gate, *_take_rows(idx, ptr, np.flatnonzero(pick)))
+            sets = _co_neighbor_sets(_take_rows(idx, ptr, np.flatnonzero(pick)), gate.M, members)
+            _, estimates = _group_stats(gate.table, *sets)
         else:
-            tested, estimates = _co_neighbor_stats(gate, idx, ptr, gate.p)
+            sets = _co_neighbor_sets((idx, ptr), gate.M, members)
+            tested, estimates = _group_stats(gate.table, *sets, gate.p)
             ok = tested <= epsilon
             pick = ok if scored is None else ok & scored[added]
             estimates = estimates[pick]
@@ -222,15 +218,9 @@ def step_method_b(
     The step is :func:`_accept_b` at the state's one threshold. Each
     estimate is the centroid that the coherence gate computes, centred on a
     member, so identical co-neighbors give back their common vector
-    exactly. The featured set's features are gathered once, for the gate
-    and the estimates.
+    exactly.
     """
-    p = validate_norm_order(p)
-    gate = _open_gate(state, g, store.features_of(state.featured), p)
-    added, rejected, pivots, _, estimates = next(_accept_b(gate, [state.epsilon],
-                                                           candidate_test=candidate_test))
-    store.set_estimated_many(added, estimates, state.step)
-    return added, rejected, _advance(state, added, rejected, pivots=pivots)
+    return _step(_accept_b, state, g, store, p, candidate_test=candidate_test)
 
 
 def run_method_b(

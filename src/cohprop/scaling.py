@@ -81,9 +81,10 @@ def bipartite_from_graph(g: DirectedGraph, elites) -> BipartiteAdjacency:
     followers = g.neighborhood(elites, Direction.DOWN)
     if followers.size == 0:
         raise ValueError("no follower of any elite in the graph")
-    M = incidence(g, followers, elites, Direction.UP)
+    indices, indptr = incidence(g, followers, elites, Direction.UP)
     # built from the arrays, csr_matrix picks int32 indices where they fit
-    matrix = sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape, dtype=np.int8)
+    matrix = sp.csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr),
+                           shape=(followers.size, elites.size))
     return BipartiteAdjacency(
         matrix,
         tuple(g.label_of(int(f)) for f in followers),

@@ -245,16 +245,14 @@ class TestInvariants:
             position = {int(c): j for j, c in enumerate(cols)}
             for d in Direction:
                 flat, bounds = grouped_restricted_neighbors(g, nodes, node_mask(list(allowed), n), d)
-                M = incidence(g, nodes, cols, d)
-                assert bounds.size == nodes.size + 1
-                assert M.shape == (nodes.size, cols.size)
+                indices, indptr = incidence(g, nodes, cols, d)
+                assert bounds.size == indptr.size == nodes.size + 1
                 for k, v in enumerate(nodes.tolist()):
                     want = sorted(naive_neighbors(edges, v, d) & allowed)
                     assert flat[bounds[k]:bounds[k + 1]].tolist() == want
-                    assert M.indices[M.indptr[k]:M.indptr[k + 1]].tolist() == [
+                    assert indices[indptr[k]:indptr[k + 1]].tolist() == [
                         position[u] for u in want
                     ]
-                assert M.data.all()
 
     def test_gathers_reject_unknown_nodes(self):
         g = load_edge_list(b"a,b\n")
@@ -264,6 +262,16 @@ class TestInvariants:
                 g.neighborhood(bad, Direction.UP)
             with pytest.raises(UnknownNodeError):
                 grouped_restricted_neighbors(g, np.array(bad), allowed, Direction.DOWN)
+
+    def test_incidence_rejects_columns_outside_the_graph(self):
+        # a negative column would alias node n + id through the position map
+        g = DirectedGraph.from_edges([(0, 3), (1, 3), (2, 3), (4, 2)], node_count=5)
+        for cols in ([-2], [-1, 0, 3], [3, 5], [7]):
+            for d in Direction:
+                with pytest.raises(UnknownNodeError):
+                    incidence(g, [0, 1, 2], np.array(cols), d)
+        indices, indptr = incidence(g, [0, 1, 2], np.array([3]), Direction.UP)
+        assert indices.tolist() == [0, 0, 0] and indptr.tolist() == [0, 1, 2, 3]
 
     def test_neighbor_lists_sorted(self, rng):
         g, _ = random_graph(rng, 50, 400)
@@ -405,10 +413,9 @@ class TestIncidenceProperties:
         g = DirectedGraph.from_edges(sorted(edges), node_count=n)
         rows = rng.integers(0, n, size=n_rows)  # repeats allowed
         cols = np.flatnonzero(rng.random(n) < col_share)  # may be empty
-        M = incidence(g, rows, cols, d)
-        assert M.shape == (n_rows, cols.size)
+        indices, indptr = incidence(g, rows, cols, d)
+        assert indptr.size == n_rows + 1 and indptr[-1] == indices.size
         position = {int(c): j for j, c in enumerate(cols)}
         for k, v in enumerate(rows.tolist()):
             want = sorted(position[u] for u in naive_neighbors(edges, v, d) if u in position)
-            assert M.indices[M.indptr[k]:M.indptr[k + 1]].tolist() == want
-        assert M.data.all()
+            assert indices[indptr[k]:indptr[k + 1]].tolist() == want

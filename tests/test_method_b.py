@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
 from cohprop.features import FeatureStore, coherent_neighborhood
@@ -7,6 +9,7 @@ from cohprop.graph import DirectedGraph, Direction
 from cohprop.method_a import init_state
 from cohprop.method_b import (
     PivotSet,
+    _co_neighbor_sets,
     co_neighbors,
     compute_pivots,
     run_method_b,
@@ -73,6 +76,37 @@ class TestCoNeighbors:
             for v in range(n):
                 got = set(co_neighbors(g, v, sorted(pivots), sorted(members), d).tolist())
                 assert got == naive_co_neighbors(edges, v, pivots, members, d)
+
+
+def csr_rows(rows):
+    """CSR arrays ``(indices, indptr)`` of a list of index lists, each kept in its order."""
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    return np.array([j for row in rows for j in row], dtype=np.int64), indptr
+
+
+@st.composite
+def product_instances(draw):
+    """Many C rows over the rows of an M: rows may repeat an M row or mark none."""
+    n_members = draw(st.integers(0, 8))
+    m_rows = draw(st.lists(st.sets(st.integers(0, n_members - 1)) if n_members else st.just(set()),
+                           max_size=8))
+    c_rows = draw(st.lists(st.lists(st.integers(0, len(m_rows) - 1), max_size=6)
+                           if m_rows else st.just([]), max_size=40))
+    return c_rows, [sorted(row) for row in m_rows], n_members
+
+
+class TestCoNeighborSets:
+    @given(product_instances())
+    # a row repeating an M row, rows marking none, an M row with no entry; an empty M
+    @example(([[1, 0, 1], [], [2, 2], [2, 0]], [[0, 3], [3], []], 5))
+    @example(([[0], [], [1, 0]], [[], []], 0))
+    def test_rows_are_sorted_unions(self, instance):
+        c_rows, m_rows, n_members = instance
+        indices, indptr = _co_neighbor_sets(csr_rows(c_rows), csr_rows(m_rows), n_members)
+        assert indptr.size == len(c_rows) + 1 and indptr[-1] == indices.size
+        for k, row in enumerate(c_rows):
+            want = sorted(set().union(*(m_rows[j] for j in row)))
+            assert indices[indptr[k]:indptr[k + 1]].tolist() == want
 
 
 class TestStep:

@@ -92,3 +92,24 @@ def test_library_imports_are_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in read]
     assert SOURCES and not unused, unused
+
+
+def test_scipy_sparse_only_in_method_b_and_scaling():
+    # the propagation layer passes sparse matrices as (indices, indptr) CSR
+    # arrays; SciPy's sparse types appear only in the co-neighbour product
+    # (method_b) and the correspondence analysis (scaling)
+    def sparse_import(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.startswith("scipy.sparse") for alias in node.names)
+        if isinstance(node, ast.ImportFrom) and node.module:
+            return node.module.startswith("scipy.sparse") or (
+                node.module == "scipy" and any(alias.name == "sparse" for alias in node.names))
+        return False
+
+    importers = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if sparse_import(node)
+    }
+    assert importers == {"method_b.py", "scaling.py"}, importers
