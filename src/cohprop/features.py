@@ -345,11 +345,13 @@ def _write_rows(path, labels: list[str], table: np.ndarray, steps: list[int] | N
     Row k holds ``labels[k]``, row k of ``table`` and, when ``steps`` is
     given, the provenance of ``steps[k]``. Rows are formatted a block at a
     time, column by column, so each column is one pass in C; values are
-    written with ``repr``, which reads back exactly.
+    written with ``repr``, which reads back exactly. Each distinct step is
+    formatted once.
     """
     header = ["node_label"] + [f"f{i + 1}" for i in range(table.shape[1])]
     if steps is not None:
         header.append("provenance")
+        provenance = {step: _format_provenance(step) for step in set(steps)}.__getitem__
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -357,7 +359,7 @@ def _write_rows(path, labels: list[str], table: np.ndarray, steps: list[int] | N
             hi = lo + _BLOCK_ROWS
             columns = [labels[lo:hi], *(map(repr, col) for col in table[lo:hi].T.tolist())]
             if steps is not None:
-                columns.append(map(_format_provenance, steps[lo:hi]))
+                columns.append(map(provenance, steps[lo:hi]))
             writer.writerows(zip(*columns))
 
 

@@ -106,22 +106,26 @@ def co_neighbors(g: DirectedGraph, v: int, pivots, members, direction: Direction
     pnodes = pivots.nodes if isinstance(pivots, PivotSet) else as_node_array(pivots, g.node_count)
     members = as_node_array(members, g.node_count)
     C = incidence(g, np.array([v], dtype=np.int64), pnodes, direction)
-    indices, _ = _co_neighbor_sets(C, incidence(g, pnodes, members, direction.opposite),
-                                   members.size)
+    M = _csr(*incidence(g, pnodes, members, direction.opposite), members.size)
+    indices, _ = _co_neighbor_sets(C, M)
     return members[indices]
 
 
-def _co_neighbor_sets(C, M, n_members: int):
+def _csr(indices: np.ndarray, indptr: np.ndarray, n_cols: int) -> sparse.csr_array:
+    """The 0/1 SciPy CSR array with the pattern of the CSR arrays ``(indices, indptr)``."""
+    return sparse.csr_array((np.ones(indices.size, dtype=bool), indices, indptr),
+                            shape=(indptr.size - 1, n_cols))
+
+
+def _co_neighbor_sets(C, M: sparse.csr_array):
     """The 0/1 pattern of ``C @ M`` as CSR arrays ``(indices, indptr)``, each row sorted.
 
-    C and M are CSR arrays ``(indices, indptr)``; M has ``n_members``
-    columns. Row k is the union of the M rows that C's row k marks: with C
-    over pivots and M their back-incidence, a co-neighbor set.
+    C is CSR arrays ``(indices, indptr)`` over M's rows, and M a 0/1 SciPy
+    CSR array (see :func:`_csr`), which a caller builds once for all the C
+    it multiplies. Row k is the union of the M rows that C's row k marks:
+    with C over pivots and M their back-incidence, a co-neighbor set.
     """
-    (ci, cp), (mi, mp) = C, M
-    rows, mid = cp.size - 1, mp.size - 1
-    pattern = (sparse.csr_array((np.ones(ci.size, dtype=bool), ci, cp), shape=(rows, mid))
-               @ sparse.csr_array((np.ones(mi.size, dtype=bool), mi, mp), shape=(mid, n_members)))
+    pattern = _csr(*C, M.shape[0]) @ M
     pattern.sort_indices()
     return pattern.indices, pattern.indptr
 
@@ -158,7 +162,7 @@ def _accept_b(gate: _Gate, grid: Sequence[float], scored: Optional[np.ndarray] =
         return
     top = max(grid)
     g, d, cand, inc = gate.g, gate.state.direction, gate.cand, gate.inc
-    members = len(gate.table)
+    M = _csr(*gate.M, len(gate.table))  # one SciPy operand for every threshold
     rows, rejected = _split_pivots(gate, top)
     blocked = gate.featured | gate.excluded
     blocked[rejected] = True  # same-step pivot failures cannot be featured
@@ -190,10 +194,10 @@ def _accept_b(gate: _Gate, grid: Sequence[float], scored: Optional[np.ndarray] =
             tested, _ = _group_stats(gate.centers, idx, ptr, gate.p)
             ok = tested <= epsilon
             pick = ok if scored is None else ok & scored[added]
-            sets = _co_neighbor_sets(_take_rows(idx, ptr, np.flatnonzero(pick)), gate.M, members)
+            sets = _co_neighbor_sets(_take_rows(idx, ptr, np.flatnonzero(pick)), M)
             _, estimates = _group_stats(gate.table, *sets)
         else:
-            sets = _co_neighbor_sets((idx, ptr), gate.M, members)
+            sets = _co_neighbor_sets((idx, ptr), M)
             tested, estimates = _group_stats(gate.table, *sets, gate.p)
             ok = tested <= epsilon
             pick = ok if scored is None else ok & scored[added]

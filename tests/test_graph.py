@@ -1,5 +1,6 @@
 import csv
 import io
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -87,7 +88,7 @@ class TestLoadEdgeList:
         g = load_edge_list(b"a::b:\nc::d\n", sep="::")
         assert g.labels == ("a", "b:", "c", "d")
 
-    @pytest.mark.parametrize("sep", ["", "\n", ";\n"])
+    @pytest.mark.parametrize("sep", ["", "\n", ";\n", "\r", "\r\n"])
     def test_empty_or_multiline_separator_rejected(self, sep):
         with pytest.raises(ValueError, match="separator"):
             load_edge_list(b"a,b\n", sep=sep)
@@ -128,17 +129,28 @@ class TestLoadEdgeList:
         assert lines[1:] == ["a,0", "b,1", "c,2"]
 
 
+# non-ASCII spaces and the ASCII ones that are not a line break or a tab
+SPACES = ["\u2003", "\u3000", "\x85", "\xa0", "\u2028", "\x1c", "\x1d", "\x1e", "\x1f",
+          "\x0b", "\x0c"]
+
+
 @st.composite
 def edge_list_texts(draw):
     """A separator and records mixed with blank and comment lines, at most one line malformed."""
-    sep = draw(st.sampled_from([",", ";", "::", " "]))
+    sep = draw(st.sampled_from([",", ";", "::", " ", ", ", "aa"]))
+    space = st.sampled_from(SPACES)
     label = st.one_of(
-        st.sampled_from(["a", "b", "ab", " a ", "\tb", "\u00e9", "a:", ":b"]),
-        st.text(alphabet="ab:\u00e9", min_size=1, max_size=3),
+        st.sampled_from(["a", "b", "ab", " a ", "\tb", "\u00e9", "a:", ":b", "a\x00", "\x00b"]),
+        st.text(alphabet="ab:\u00e9\x00", min_size=1, max_size=3),
+        # longer than 8 and 16 bytes, sharing their first 8 or 16
+        st.sampled_from(["abcdefgh", "abcdefghi", "abcdefghj", "abcdefgh\u00e9",
+                         "abcdefghijklmnop", "abcdefghijklmnopq", "abcdefghijklmnopr"]),
+        st.tuples(space, st.sampled_from(["a", "b", "abcdefghi"]), space).map("".join),
     )
     edge = st.tuples(label, label).map(sep.join)
-    other = st.sampled_from(["", "  ", "\t", "# note", "  #a,b", "#"])
-    lines = draw(st.lists(st.one_of(edge, edge, other), max_size=14))
+    padded = st.tuples(space, edge, space).map("".join)  # spaces at the record's edges
+    other = st.one_of(st.sampled_from(["", "  ", "\t", "# note", "  #a,b", "#"]), space)
+    lines = draw(st.lists(st.one_of(edge, edge, padded, other), max_size=14))
     if draw(st.booleans()):
         bad = st.one_of(
             label,  # one field
@@ -148,7 +160,8 @@ def edge_list_texts(draw):
             st.text(alphabet="ab:;, \t#", max_size=4),
         )
         lines.insert(draw(st.integers(0, len(lines))), draw(bad))
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
     if draw(st.booleans()):
         text = text.rstrip("\r\n")  # no final line break
@@ -171,15 +184,88 @@ def parse_outcome(parse, text, sep, kind):
     return (g.labels, g.self_loops_dropped, g.duplicates_collapsed, *(a.tolist() for a in csr))
 
 
+# byte-block sizes for the parse: the small ones cut inside a line
+BLOCK_BYTES = [1, 2, 3, 5, 8, 13, graph_module._BLOCK_BYTES]
+
+
 class TestLoadEdgeListMatchesTheLineLoop:
     @given(edge_list_texts(), st.sampled_from(["bytes", "stringio", "path"]),
-           st.sampled_from([1, 2, 3, graph_module._BLOCK_LINES]))
-    def test_same_graph_or_same_error(self, sep_text, kind, block_lines):
+           st.sampled_from(BLOCK_BYTES))
+    def test_same_graph_or_same_error(self, sep_text, kind, block_bytes):
         sep, text = sep_text
         want = parse_outcome(reference_load_edge_list, text, sep, kind)
-        with mock.patch.object(graph_module, "_BLOCK_LINES", block_lines):
+        with mock.patch.object(graph_module, "_BLOCK_BYTES", block_bytes):
             got = parse_outcome(load_edge_list, text, sep, kind)
         assert got == want
+
+    @pytest.mark.parametrize("text", [
+        "a,b\rc,d\n", "a,b\r\nc,d\rx,y", "a,b\r\r\nc,d\r\n", "a,b\rc,d,e\n", "a,b\r\r,d\n",
+        "a,b\rc\u2028,d\x85\n", "\r", "# c\rd,e",
+    ])
+    def test_one_line_break_rule_for_every_source(self, text):
+        # \n, \r\n and a lone \r each end a line, as in a text-mode file
+        got = {kind: parse_outcome(load_edge_list, text, ",", kind)
+               for kind in ("path", "bytes", "stringio")}
+        assert got["path"] == got["bytes"] == got["stringio"]
+        assert got["bytes"] == parse_outcome(reference_load_edge_list, text, ",", "bytes")
+
+    @pytest.mark.parametrize("sep, text", [
+        ("::", "a:::b\n"), ("::", "a::::b\n"), ("::", ":::a\n"), ("aa", "baaab\n"), ("aa", "baaaab\n"),
+    ])
+    def test_self_overlapping_separator_is_counted_as_split_does(self, sep, text):
+        # occurrences are taken from the left, and one overlapping the last is skipped
+        assert (parse_outcome(load_edge_list, text, sep, "bytes")
+                == parse_outcome(reference_load_edge_list, text, sep, "bytes"))
+
+    def test_lone_carriage_return_ends_a_line(self):
+        for source in (b"a,b\rc,d\n", io.StringIO("a,b\rc,d\n")):
+            g = load_edge_list(source)
+            assert g.labels == ("a", "b", "c", "d") and g.edge_count == 2
+
+
+class TestLabelInterning:
+    @staticmethod
+    def first_salt_collides(salts):
+        """A key mix that gives every label one key at the first salt, recording each salt."""
+        keys = graph_module._label_keys
+
+        def mix(words, starts, lengths, salt):
+            salts.append(salt)
+            return np.zeros(starts.size, dtype=np.uint64) if salt == 0 else keys(
+                words, starts, lengths, salt)
+        return mix
+
+    @given(edge_list_texts(), st.sampled_from(BLOCK_BYTES))
+    def test_colliding_keys_still_give_the_line_loop_graph(self, sep_text, block_bytes):
+        sep, text = sep_text
+        want = parse_outcome(reference_load_edge_list, text, sep, "bytes")
+        with mock.patch.object(graph_module, "_label_keys", self.first_salt_collides([])), \
+                mock.patch.object(graph_module, "_BLOCK_BYTES", block_bytes):
+            got = parse_outcome(load_edge_list, text, sep, "bytes")
+        assert got == want
+
+    def test_a_collision_mixes_again_with_the_next_salt(self):
+        text = b"abcdefgh1,abcdefgh2\nabcdefghijklmnopq,abcdefghijklmnopr\na\x00,a\na,abcdefgh1\n"
+        salts = []
+        with mock.patch.object(graph_module, "_label_keys", self.first_salt_collides(salts)):
+            g = load_edge_list(text)
+        assert salts and set(salts) == {0, 1}
+        assert g.labels == ("abcdefgh1", "abcdefgh2", "abcdefghijklmnopq", "abcdefghijklmnopr",
+                            "a\x00", "a")
+        assert g._fwd_indices.tolist() == [1, 3, 5, 0]
+
+    def test_space_table_is_str_isspace(self):
+        assert graph_module._SPACES == "".join(
+            c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+    @pytest.mark.parametrize("kind", ["bytes", "path"])
+    def test_invalid_utf8_rejected(self, kind, tmp_path):
+        data = "a,\u00e9\n".encode() + b"b,\xff\n"
+        source = data if kind == "bytes" else tmp_path / "edges.csv"
+        if kind == "path":
+            source.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError):
+            load_edge_list(source)
 
 
 class TestNeighbors:

@@ -10,6 +10,7 @@ from cohprop.method_a import init_state
 from cohprop.method_b import (
     PivotSet,
     _co_neighbor_sets,
+    _csr,
     co_neighbors,
     compute_pivots,
     run_method_b,
@@ -102,7 +103,7 @@ class TestCoNeighborSets:
     @example(([[0], [], [1, 0]], [[], []], 0))
     def test_rows_are_sorted_unions(self, instance):
         c_rows, m_rows, n_members = instance
-        indices, indptr = _co_neighbor_sets(csr_rows(c_rows), csr_rows(m_rows), n_members)
+        indices, indptr = _co_neighbor_sets(csr_rows(c_rows), _csr(*csr_rows(m_rows), n_members))
         assert indptr.size == len(c_rows) + 1 and indptr[-1] == indices.size
         for k, row in enumerate(c_rows):
             want = sorted(set().union(*(m_rows[j] for j in row)))

@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import cohprop
+from cohprop import graph
+from cohprop.graph import load_edge_list
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -113,3 +115,28 @@ def test_scipy_sparse_only_in_method_b_and_scaling():
         if sparse_import(node)
     }
     assert importers == {"method_b.py", "scaling.py"}, importers
+
+
+def test_edge_list_parse_makes_no_python_calls_per_line(tmp_path):
+    # the parse works on whole arrays: a clean 40k-line file makes no more
+    # Python and C calls than a clean 1k-line one, but for a fixed allowance
+    # for each byte block it parses
+    def calls(lines):
+        path = tmp_path / f"edges_{lines}.csv"
+        path.write_text("".join(f"u{i},v{i % 997}\n" for i in range(lines)), encoding="utf-8")
+        made = 0
+
+        def profile(frame, event, arg):
+            nonlocal made
+            made += event in ("call", "c_call")
+
+        sys.setprofile(profile)
+        try:
+            load_edge_list(path)
+        finally:
+            sys.setprofile(None)
+        return made, -(-path.stat().st_size // graph._BLOCK_BYTES)
+
+    small, _ = calls(1_000)
+    large, blocks = calls(40_000)
+    assert large <= small + 50 * blocks, (small, large, blocks)
