@@ -28,6 +28,7 @@ from .evaluation import (
     sweep_method_a,
 )
 from .features import (
+    _csv_rows,
     _write_json,
     read_features_csv,
     write_features_csv,
@@ -239,7 +240,7 @@ def cmd_report(args, out_dir: Path) -> int:
     merged: list[list[str]] = []
     for path in args.inputs:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
+            reader = _csv_rows(path, fh)
             head = next(reader, None)
             if head != header:
                 raise ValueError(f"{path}: unexpected report header {head}")

@@ -20,7 +20,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import count
+import re
+from itertools import compress, count
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -327,9 +328,10 @@ def write_features_csv(
     """Write ``node_label,f1,...,fN`` rows (plus optional provenance column)."""
     # one range check and one gather for the whole store, before the file opens
     nodes = as_node_array(store.nodes(), graph.node_count)
-    steps = store.steps_of(nodes).tolist() if include_provenance else None
+    rows = store._rows(nodes.tolist())
+    steps = store._step[rows].tolist() if include_provenance else None
     _write_rows(path, list(map(graph.labels.__getitem__, nodes.tolist())),
-                store.features_of(nodes), steps)
+                store._table.take(rows, axis=0), steps)
 
 
 def write_labeled_features_csv(path, rows: Iterable[tuple[str, np.ndarray]], dim: int) -> None:
@@ -339,28 +341,42 @@ def write_labeled_features_csv(path, rows: Iterable[tuple[str, np.ndarray]], dim
     _write_rows(path, [label for label, _ in rows], table, None)
 
 
+# the characters for which csv.writer's default dialect (QUOTE_MINIMAL) quotes a field
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
 def _write_rows(path, labels: list[str], table: np.ndarray, steps: list[int] | None) -> None:
     """The one features-CSV writer, behind both public ones.
 
     Row k holds ``labels[k]``, row k of ``table`` and, when ``steps`` is
-    given, the provenance of ``steps[k]``. Rows are formatted a block at a
-    time, column by column, so each column is one pass in C; values are
-    written with ``repr``, which reads back exactly. Each distinct step is
-    formatted once.
+    given, the provenance of ``steps[k]``. The bytes are those of
+    ``csv.writer`` with its default dialect: fields joined by ``,``, lines
+    ended by ``\\r\\n``, and a label holding ``,``, ``"``, ``\\r`` or ``\\n``
+    quoted with its quotes doubled (no other field ever needs quotes).
+    Values are written with ``repr``, which reads back exactly; since the
+    store holds only finite values, one ``repr`` of a column's list splits
+    into the ``repr`` of each value. Each block of ``_BLOCK_ROWS`` rows is
+    formatted column by column, each column one pass in C, and written as
+    one string, so memory holds one block's strings. Only labels that need
+    quotes take a Python step, and each distinct step is formatted once.
     """
     header = ["node_label"] + [f"f{i + 1}" for i in range(table.shape[1])]
     if steps is not None:
         header.append("provenance")
         provenance = {step: _format_provenance(step) for step in set(steps)}.__getitem__
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for lo in range(0, len(labels), _BLOCK_ROWS):
             hi = lo + _BLOCK_ROWS
-            columns = [labels[lo:hi], *(map(repr, col) for col in table[lo:hi].T.tolist())]
+            block = labels[lo:hi]
+            for k in compress(range(len(block)), map(_NEEDS_QUOTES, block)):
+                block[k] = '"' + block[k].replace('"', '""') + '"'
+            columns = [block, *(repr(col)[1:-1].split(", ") for col in table[lo:hi].T.tolist())]
             if steps is not None:
                 columns.append(map(provenance, steps[lo:hi]))
-            writer.writerows(zip(*columns))
+            lines = list(map(",".join, zip(*columns)))
+            lines.append("")  # the last line's terminator
+            fh.write("\r\n".join(lines))
 
 
 def _format_provenance(step: int) -> str:
@@ -377,6 +393,15 @@ def _parse_provenance(text: str) -> int:
     raise ValueError(f"bad provenance value {text!r}")
 
 
+def _csv_rows(path, fh) -> Iterator[list[str]]:
+    """Rows of ``csv.reader(fh)``; a malformed row raises ``ValueError`` naming its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def read_features_csv(path, graph: DirectedGraph) -> FeatureStore:
     """Load a features CSV, mapping labels to graph node ids.
 
@@ -384,7 +409,7 @@ def read_features_csv(path, graph: DirectedGraph) -> FeatureStore:
     rows load as known features.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:

@@ -40,6 +40,18 @@ def workspace(tmp_path):
     return tmp_path
 
 
+def write_unbalanced_quote(path, header):
+    # the open quote runs on past csv's 128 KiB field limit
+    path.write_text(header + '\n"a,0.5\n' + "".join(f"u{i},0.5\n" for i in range(30_000)))
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "field larger than field limit" in err
+
+
 class TestParsing:
     @pytest.mark.parametrize("sub", SUBCOMMANDS)
     def test_help_exits_zero(self, sub, capsys):
@@ -140,6 +152,17 @@ class TestPropagate:
             pivots = list(csv.reader((out / "pivots.csv").open()))
             assert pivots[0] == ["step", "pivots"]
 
+    def test_malformed_seed_features_is_one_error_line(self, workspace, capsys):
+        bad = workspace / "bad_seed.csv"
+        write_unbalanced_quote(bad, "node_label,f1")
+        rc = main(["propagate", "--method", "a", "--direction", "up",
+                   "--epsilon", "0.6", "--max-steps", "3",
+                   "--graph", str(workspace / "edges.csv"),
+                   "--seed-features", str(bad), "--out", "features.csv",
+                   "--out-dir", str(workspace / "prop_bad")])
+        assert rc == 1
+        assert_one_error_line(capsys)
+
 
 class TestEvaluateAndReport:
     def test_protocols_and_merge(self, workspace):
@@ -163,6 +186,14 @@ class TestEvaluateAndReport:
         merged = list(csv.reader((out / "merged.csv").open()))
         assert merged[0] == list(CSV_COLUMNS)
         assert len(merged) == len(sweep_rows) + len(list(csv.reader((out / "kfold.csv").open()))) - 1
+
+    def test_malformed_report_input_is_one_error_line(self, workspace, capsys):
+        bad = workspace / "bad_report.csv"
+        write_unbalanced_quote(bad, ",".join(CSV_COLUMNS))
+        rc = main(["report", "--inputs", str(bad), "--out", "merged.csv",
+                   "--out-dir", str(workspace / "report_bad")])
+        assert rc == 1
+        assert_one_error_line(capsys)
 
     def test_seed_set_file(self, workspace):
         out = workspace / "eval2"

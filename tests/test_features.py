@@ -462,8 +462,11 @@ class TestFeaturesCsv:
 @st.composite
 def labeled_stores(draw):
     """A graph with awkward labels and a store over some of its nodes, possibly none."""
-    labels = draw(st.lists(st.text(alphabet='ab,"\u00e9\u4e2d ;', min_size=1, max_size=4),
-                           min_size=1, max_size=9, unique=True))
+    # every character csv quotes for, others it must leave alone, and edge spaces
+    label = st.tuples(st.sampled_from(["", " ", "  "]),
+                      st.text(alphabet='ab,"\u00e9\u4e2d ;\r\n\x00\t', min_size=1, max_size=4),
+                      st.sampled_from(["", " ", "\t"])).map("".join)
+    labels = draw(st.lists(label, min_size=1, max_size=9, unique=True))
     dim = draw(st.integers(1, 4))
     g = DirectedGraph.from_edges(np.empty((0, 2), dtype=np.int64), len(labels), labels=labels)
     store = FeatureStore(dim)
@@ -480,7 +483,7 @@ def labeled_stores(draw):
 
 
 class TestCsvWritersMatchTheRowLoop:
-    @given(labeled_stores(), st.booleans(), st.sampled_from([1, 2, 3, features._BLOCK_ROWS]))
+    @given(labeled_stores(), st.booleans(), st.sampled_from([1, 2, 3, 5, features._BLOCK_ROWS]))
     def test_same_bytes(self, graph_store, include_provenance, block_rows):
         g, store = graph_store
         nodes = store.nodes()

@@ -3,9 +3,12 @@ import ast
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import cohprop
-from cohprop import graph
-from cohprop.graph import load_edge_list
+from cohprop import features, graph
+from cohprop.features import FeatureStore, write_features_csv
+from cohprop.graph import DirectedGraph, load_edge_list
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -136,6 +139,37 @@ def test_edge_list_parse_makes_no_python_calls_per_line(tmp_path):
         finally:
             sys.setprofile(None)
         return made, -(-path.stat().st_size // graph._BLOCK_BYTES)
+
+    small, _ = calls(1_000)
+    large, blocks = calls(40_000)
+    assert large <= small + 50 * blocks, (small, large, blocks)
+
+
+def test_features_writer_makes_no_python_calls_per_row(tmp_path):
+    # the writer works a block at a time: a 40k-row store with provenance
+    # makes no more Python and C calls than a 1k-row one, but for a fixed
+    # allowance for each block of rows it writes
+    def calls(rows):
+        g = DirectedGraph.from_edges(np.empty((0, 2), dtype=np.int64), rows,
+                                     labels=[f"u{i}" for i in range(rows)])
+        store = FeatureStore(2)
+        nodes = np.arange(rows)
+        store.set_known_many(nodes[::2], np.ones((nodes[::2].size, 2)) / 3)
+        for step in range(3):
+            est = nodes[1 + 2 * step::6]
+            store.set_estimated_many(est, np.full((est.size, 2), -0.1 * step), step)
+        made = 0
+
+        def profile(frame, event, arg):
+            nonlocal made
+            made += event in ("call", "c_call")
+
+        sys.setprofile(profile)
+        try:
+            write_features_csv(tmp_path / f"features_{rows}.csv", store, g, include_provenance=True)
+        finally:
+            sys.setprofile(None)
+        return made, -(-rows // features._BLOCK_ROWS)
 
     small, _ = calls(1_000)
     large, blocks = calls(40_000)
