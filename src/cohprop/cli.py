@@ -241,10 +241,10 @@ def cmd_report(args, out_dir: Path) -> int:
     for path in args.inputs:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = _csv_rows(path, fh)
-            head = next(reader, None)
+            _, head = next(reader, (None, None))
             if head != header:
                 raise ValueError(f"{path}: unexpected report header {head}")
-            merged.extend(reader)
+            merged.extend(row for _, row in reader)
     out_path = _resolve(out_dir, args.out)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -4,9 +4,12 @@ A :class:`FeatureStore` keeps one fixed-dimension vector per node, tagged
 as seed (``known``) or propagated (``estimated`` with the step at which it
 was written). Entries are write-once: propagation never overwrites a seed
 feature and never re-estimates a node. The store is one table: a float64
-``(capacity, N)`` row array that grows by doubling, an int64 step array and
-a dict from node id to row. Every write is one checked commit of a block of
-rows, and every bulk read is one gather through the index.
+``(capacity, N)`` row array and an int64 step array, both growing by
+doubling, and an index, one int64 array that holds each node's row at the
+node id and -1 where a node has none. Node ids must be >= 0, and the index
+takes 8 bytes for every id up to the largest one written. Every write is
+one checked scatter of a block of rows into the index, and every bulk read
+is one bound check and one gather through it.
 
 The metric layer provides the distance between an estimate and a reference
 vector, set centroids, set incoherence (root mean squared p-norm distance
@@ -21,7 +24,7 @@ import csv
 import json
 import math
 import re
-from itertools import compress, count
+from itertools import compress
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -55,52 +58,82 @@ def validate_norm_order(p) -> float:
 
 
 class FeatureStore:
-    """Write-once map from node id to an N-dimensional feature vector."""
+    """Write-once map from node id (>= 0) to an N-dimensional feature vector.
+
+    The node -> row index is one int64 array with a slot for every id up to
+    the largest one written, so its memory grows with that id (8 bytes an
+    id), not with the number of rows. A negative id or one past the index
+    reads as absent.
+    """
 
     def __init__(self, dim: int):
         if int(dim) < 1:
             raise ValueError("feature dimension must be >= 1")
         self._dim = int(dim)
+        self._n = 0  # rows in use
         self._table = np.empty((0, self._dim))
         self._step = np.empty(0, dtype=np.int64)
-        self._row: dict[int, int] = {}
+        self._row_of = np.empty(0, dtype=np.int64)  # node id -> table row, -1 when absent
 
     @property
     def dim(self) -> int:
         return self._dim
 
     def __len__(self) -> int:
-        return len(self._row)
+        return self._n
 
     def __contains__(self, node) -> bool:
-        return int(node) in self._row
+        v = int(node)
+        return 0 <= v < self._row_of.size and self._row_of[v] >= 0
 
     def nodes(self) -> np.ndarray:
-        return np.sort(np.fromiter(self._row, dtype=np.int64, count=len(self._row)))
+        return np.flatnonzero(self._row_of >= 0)
 
     def items(self) -> Iterator[tuple[int, np.ndarray]]:
         nodes = self.nodes()
         return zip(nodes.tolist(), self.features_of(nodes))
 
-    def _commit(self, nodes: list[int], values, steps) -> None:
+    def _commit(self, nodes: np.ndarray, values, steps) -> None:
         """Write row k of ``values`` for ``nodes[k]`` at ``steps`` (a scalar or one per row).
 
-        The batch is checked as a whole before anything is written, so a
-        rejected batch leaves the store unchanged.
+        ``nodes`` is an int64 array. The batch is checked as a whole before
+        anything is written, so a rejected batch leaves every read unchanged.
         """
         values = np.asarray(values, dtype=np.float64)
-        n, k = len(self._row), len(nodes)
+        n, k = self._n, nodes.size
         if values.shape != (k, self._dim):
             raise ValueError(
                 f"expected {k} vector(s) of dimension {self._dim}, got shape {values.shape}"
             )
         if np.count_nonzero(np.isfinite(values)) != values.size:
             raise ValueError("feature components must be finite")
-        if len(set(nodes)) != k:
-            raise ValueError("a batch of features lists a node more than once")
-        if not self._row.keys().isdisjoint(nodes):
-            taken = next(v for v in nodes if v in self._row)
-            raise ValueError(f"features for node {taken} already set; entries are write-once")
+        if k == 1:  # Python scalars: a batch's reductions cost more than the rest of this write
+            lo = hi = nodes.item()
+        else:
+            lo, hi = int(nodes.min(initial=0)), int(nodes.max(initial=-1))
+        if lo < 0:
+            raise ValueError(f"node ids must be >= 0, got {lo}")
+        if hi >= self._row_of.size:  # grow by doubling, to at least the largest id + 1
+            size = self._row_of.size
+            self._row_of = np.concatenate(
+                (self._row_of, np.full(max(size, hi + 1 - size), -1, dtype=np.int64)))
+        if k == 1:
+            if self._row_of[lo] >= 0:
+                raise ValueError(f"features for node {lo} already set; entries are write-once")
+            self._row_of[lo] = n
+        else:
+            # one scatter of the new rows; read back, a repeated node keeps only
+            # its last row, so the batch is undone unless every node reads its own
+            old = self._row_of[nodes]
+            fresh = np.arange(n, n + k)
+            self._row_of[nodes] = fresh
+            if np.count_nonzero(self._row_of[nodes] != fresh):
+                self._row_of[nodes] = old
+                raise ValueError("a batch of features lists a node more than once")
+            taken = nodes[old >= 0]
+            if taken.size:
+                self._row_of[nodes] = old
+                raise ValueError(f"features for node {taken[0]} already set; entries are write-once")
         if n + k > self._step.size:
             spare = max(k, n)  # grow by doubling
             self._table = np.concatenate((self._table[:n], np.empty((spare, self._dim))))
@@ -109,14 +142,14 @@ class FeatureStore:
         # [...] on the slice: assigning a Python int to a slice directly is
         # about 2x slower in NumPy 2.4, and single rows pay it on every write
         self._step[n:n + k][...] = steps
-        self._row.update(zip(nodes, count(n)))
+        self._n = n + k
 
     def set_known(self, node: int, vec) -> None:
-        self._commit([int(node)], np.asarray(vec, dtype=np.float64)[None], KNOWN)
+        self._commit(np.array((int(node),)), np.asarray(vec, dtype=np.float64)[None], KNOWN)
 
     def set_known_many(self, nodes, values) -> None:
         """Batched :meth:`set_known`, all or nothing like :meth:`set_estimated_many`."""
-        self._commit(np.asarray(nodes, dtype=np.int64).tolist(), values, KNOWN)
+        self._commit(np.asarray(nodes, dtype=np.int64), values, KNOWN)
 
     def set_estimated(self, node: int, vec, step: int) -> None:
         self.set_estimated_many([node], [vec], step)
@@ -129,24 +162,37 @@ class FeatureStore:
         """
         if step < 0:
             raise ValueError("estimation step must be >= 0")
-        self._commit(np.asarray(nodes, dtype=np.int64).tolist(), values, int(step))
+        self._commit(np.asarray(nodes, dtype=np.int64), values, int(step))
 
-    def _rows(self, nodes: list[int]) -> np.ndarray:
-        """Table rows of ``nodes`` through the index (``KeyError`` for a node without features)."""
-        try:
-            return np.fromiter(map(self._row.__getitem__, nodes), dtype=np.int64, count=len(nodes))
-        except KeyError as exc:
-            raise KeyError(f"no features for node {exc.args[0]}") from None
+    def _row(self, node) -> int:
+        """Table row of one node (``KeyError`` for a node without features)."""
+        v = int(node)
+        row = self._row_of[v] if 0 <= v < self._row_of.size else -1
+        if row < 0:
+            raise KeyError(f"no features for node {v}")
+        return row
+
+    def _rows(self, nodes: np.ndarray) -> np.ndarray:
+        """Table rows of an int64 node array (``KeyError`` for a node without features)."""
+        # a negative id views as a huge unsigned one, so one bound covers both ends
+        inside = nodes.view(np.uint64) < self._row_of.size
+        if np.count_nonzero(inside) == nodes.size:
+            rows = self._row_of[nodes]
+            if rows.min(initial=0) >= 0:
+                return rows
+        missing = ~inside
+        missing[inside] = self._row_of[nodes[inside]] < 0
+        raise KeyError(f"no features for node {nodes[missing][0]}")
 
     def get(self, node: int) -> np.ndarray:
         """Read-only view of the node's vector."""
-        row = self._table[self._rows([int(node)])[0]]
+        row = self._table[self._row(node)]
         row.flags.writeable = False
         return row
 
     def provenance(self, node: int) -> int:
         """KNOWN (-1) for seed entries, else the propagation step index."""
-        return int(self._step[self._rows([int(node)])[0]])
+        return int(self._step[self._row(node)])
 
     def is_known(self, node: int) -> bool:
         return self.provenance(node) == KNOWN
@@ -156,15 +202,15 @@ class FeatureStore:
 
     def features_of(self, nodes) -> np.ndarray:
         """Stack features for a node array into a (k, N) matrix."""
-        return self._table.take(self._rows(as_node_array(nodes).tolist()), axis=0)
+        return self._table.take(self._rows(as_node_array(nodes)), axis=0)
 
     def steps_of(self, nodes) -> np.ndarray:
         """Provenance steps of a node array, in the row order of :meth:`features_of`."""
-        return self._step[self._rows(as_node_array(nodes).tolist())]
+        return self._step[self._rows(as_node_array(nodes))]
 
     def subset(self, nodes) -> "FeatureStore":
         """Copy of the entries for ``nodes`` (all must be present)."""
-        nodes = as_node_array(nodes).tolist()
+        nodes = as_node_array(nodes)
         rows = self._rows(nodes)
         sub = FeatureStore(self._dim)
         sub._commit(nodes, self._table.take(rows, axis=0), self._step[rows])
@@ -328,7 +374,7 @@ def write_features_csv(
     """Write ``node_label,f1,...,fN`` rows (plus optional provenance column)."""
     # one range check and one gather for the whole store, before the file opens
     nodes = as_node_array(store.nodes(), graph.node_count)
-    rows = store._rows(nodes.tolist())
+    rows = store._rows(nodes)
     steps = store._step[rows].tolist() if include_provenance else None
     _write_rows(path, list(map(graph.labels.__getitem__, nodes.tolist())),
                 store._table.take(rows, axis=0), steps)
@@ -393,13 +439,21 @@ def _parse_provenance(text: str) -> int:
     raise ValueError(f"bad provenance value {text!r}")
 
 
-def _csv_rows(path, fh) -> Iterator[list[str]]:
-    """Rows of ``csv.reader(fh)``; a malformed row raises ``ValueError`` naming its line."""
+def _csv_rows(path, fh) -> Iterator[tuple[int, list[str]]]:
+    """``(line, row)`` for each row of ``csv.reader(fh)``, ``line`` being the row's first line.
+
+    A quoted field may span lines, so a row begins on the line after the one
+    its predecessor ended on. A malformed row raises ``ValueError`` naming
+    its first line.
+    """
     reader = csv.reader(fh)
+    start = 1
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
-        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        raise ValueError(f"{path}:{start}: {exc}") from None
 
 
 def read_features_csv(path, graph: DirectedGraph) -> FeatureStore:
@@ -411,7 +465,7 @@ def read_features_csv(path, graph: DirectedGraph) -> FeatureStore:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = _csv_rows(path, fh)
         try:
-            header = next(reader)
+            _, header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty features file") from None
         if len(header) < 2:
@@ -421,7 +475,7 @@ def read_features_csv(path, graph: DirectedGraph) -> FeatureStore:
         if dim < 1:
             raise ValueError(f"{path}: no feature columns in header")
         nodes, values, steps = [], [], []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             if not row:
                 continue
             if len(row) != len(header):
@@ -433,5 +487,5 @@ def read_features_csv(path, graph: DirectedGraph) -> FeatureStore:
                 raise ValueError(f"{path}:{lineno}: non-numeric feature value") from None
             steps.append(_parse_provenance(row[-1]) if has_prov else KNOWN)
     store = FeatureStore(dim)
-    store._commit(nodes, np.reshape(values, (len(nodes), dim)), steps)
+    store._commit(np.array(nodes, dtype=np.int64), np.reshape(values, (len(nodes), dim)), steps)
     return store

@@ -194,16 +194,18 @@ class DirectedGraph:
             logger.warning("dropped %d self-loop record(s)", n_loops)
 
         # one int64 key per pair, u*n + v: the sorted unique keys are the pairs
-        # in (u, v) order, which is the forward CSR; keys v*n + u order the
-        # reverse CSR, and being unique they need no stable sort
+        # in (u, v) order, which is the forward CSR; the sorted keys v*n + u
+        # are the reverse CSR, read back by the same divmod
         n = int(node_count)
         arr = arr[~loops]
         keys = _sorted_unique(arr[:, 0] * n + arr[:, 1])
         n_dupes = arr.shape[0] - keys.size
         src, dst = np.divmod(keys, n)
-        rev_order = np.argsort(dst * n + src)
+        keys = dst * n + src
+        keys.sort()
+        rev_dst, rev_src = np.divmod(keys, n)
         return cls(
-            n, _indptr(src, n), dst, _indptr(dst[rev_order], n), src[rev_order],
+            n, _indptr(src, n), dst, _indptr(rev_dst, n), rev_src,
             labels=labels, self_loops_dropped=n_loops, duplicates_collapsed=n_dupes,
         )
 

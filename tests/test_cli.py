@@ -45,11 +45,12 @@ def write_unbalanced_quote(path, header):
     path.write_text(header + '\n"a,0.5\n' + "".join(f"u{i},0.5\n" for i in range(30_000)))
 
 
-def assert_one_error_line(capsys):
+def assert_one_error_line(capsys, path):
+    # the error names the line on which the bad row began, not where csv gave up
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-    assert "field larger than field limit" in err
+    assert f"{path}:2: field larger than field limit" in err, err
 
 
 class TestParsing:
@@ -161,7 +162,7 @@ class TestPropagate:
                    "--seed-features", str(bad), "--out", "features.csv",
                    "--out-dir", str(workspace / "prop_bad")])
         assert rc == 1
-        assert_one_error_line(capsys)
+        assert_one_error_line(capsys, bad)
 
 
 class TestEvaluateAndReport:
@@ -193,7 +194,7 @@ class TestEvaluateAndReport:
         rc = main(["report", "--inputs", str(bad), "--out", "merged.csv",
                    "--out-dir", str(workspace / "report_bad")])
         assert rc == 1
-        assert_one_error_line(capsys)
+        assert_one_error_line(capsys, bad)
 
     def test_seed_set_file(self, workspace):
         out = workspace / "eval2"

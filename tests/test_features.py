@@ -93,14 +93,14 @@ class TestFeatureStore:
 
 
 # one write: (kind, batched, rng seed, batch size, fault, step); a fault makes
-# the write invalid when it applies (a repeat needs two rows, a taken node a
-# nonempty store)
+# the write invalid when it applies (a repeat of a node not yet written needs
+# two rows, a taken node a nonempty store)
 writes = st.tuples(
     st.sampled_from(["known", "estimated"]),
     st.booleans(),
     st.integers(0, 2**32 - 1),
     st.integers(1, 700),
-    st.sampled_from([None, None, "repeat", "taken", "nan", "inf"]),
+    st.sampled_from([None, None, "repeat", "taken", "negative", "nan", "inf"]),
     st.integers(0, 4),
 )
 
@@ -109,8 +109,10 @@ writes = st.tuples(
 def test_store_matches_dict_model(ops):
     """Random single and batched writes against a dict of (vector, step).
 
-    Nodes come from 0..3999, so the table passes several doublings; a write
-    that fails must fail as a whole and leave every read unchanged.
+    Nodes come from 0..3999, so the table and the index pass several
+    doublings; a write that fails must fail as a whole and leave every read
+    unchanged. Probes include negative ids and ids past the largest one
+    written, which must read as absent, never as another node's row.
     """
     dim, n_ids = 3, 4000
     store, model = FeatureStore(dim), {}
@@ -126,10 +128,12 @@ def test_store_matches_dict_model(ops):
             nodes[-1] = nodes[0]
         elif fault == "taken" and model:
             nodes[rng.integers(size)] = rng.choice(list(model))
+        elif fault == "negative":
+            nodes[rng.integers(size)] = -rng.choice([1, 2, n_ids, 2**40])
         elif fault in ("nan", "inf"):
             values[rng.integers(size), rng.integers(dim)] = float(fault)
         valid = (len(set(nodes.tolist())) == size and not any(v in model for v in nodes.tolist())
-                 and np.isfinite(values).all())
+                 and nodes.min() >= 0 and np.isfinite(values).all())
         step = KNOWN if kind == "known" else step
         try:
             if batched and kind == "known":
@@ -152,17 +156,23 @@ def test_store_matches_dict_model(ops):
         rows = store.features_of(present).reshape(-1, dim)
         assert rows.tolist() == [model[v][0] for v in present]
         assert store.steps_of(present).tolist() == [model[v][1] for v in present]
-        probe = rng.choice(n_ids, size=20).tolist() + nodes.tolist()
+        top = max(model, default=-1)
+        probe = rng.choice(n_ids, size=20).tolist() + nodes.tolist() + [
+            -1, -2, -n_ids, -2**40, top + 1, top + 2, 2 * top + 2, n_ids, 2**40]
         for v in probe:
             assert (v in store) == (v in model)
             if v not in model:
-                with pytest.raises(KeyError):
-                    store.get(v)
+                for read, arg in ((store.get, v), (store.provenance, v), (store.features_of, [v]),
+                                  (store.steps_of, [v]), (store.features_of, present + [v])):
+                    with pytest.raises(KeyError):
+                        read(arg)
                 continue
             row = store.get(v)
             assert row.tolist() == model[v][0] and store.provenance(v) == model[v][1]
             with pytest.raises(ValueError):
                 row[0] = 0.0
+        with pytest.raises(KeyError):
+            store.subset(probe)
         sub = store.subset([v for v in probe if v in model])
         kept = sorted({v for v in probe if v in model})
         assert sub.nodes().tolist() == kept and len(sub) == len(kept)
@@ -456,6 +466,25 @@ class TestFeaturesCsv:
         path = tmp_path / "seed.csv"
         path.write_text("node_label,f1\nzz,0.5\n")
         with pytest.raises(KeyError):
+            read_features_csv(path, g)
+
+    def test_row_error_names_the_line_the_row_began_on(self, tmp_path):
+        # the quoted label spans lines 2 and 3, so the short row is on line 4
+        g = DirectedGraph.from_edges([(0, 1)], labels=["x\ny", "b"])
+        path = tmp_path / "bad.csv"
+        path.write_text('node_label,f1\n"x\ny",0.5\nb,0.5,7\n')
+        with pytest.raises(ValueError, match="bad.csv:4: expected 2 fields, got 3"):
+            read_features_csv(path, g)
+
+    @pytest.mark.parametrize("before, line", [
+        ("", 2), ("a,0.5\n\n", 4), ('"x\ny",0.5\nb,0.5\n', 5)])
+    def test_csv_error_names_the_line_the_row_began_on(self, tmp_path, before, line):
+        # the open quote runs on past csv's 128 KiB field limit, far below its
+        # first line; rows before it may be blank or span two lines
+        g = DirectedGraph.from_edges([(0, 1)], labels=["a", "b", "x\ny"], node_count=3)
+        path = tmp_path / "bad.csv"
+        path.write_text("node_label,f1\n" + before + '"c,0.5\n' + "u,0.5\n" * 30_000)
+        with pytest.raises(ValueError, match=f"bad.csv:{line}: field larger than field limit"):
             read_features_csv(path, g)
 
 

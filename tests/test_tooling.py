@@ -1,6 +1,7 @@
 """Checks over the library source itself."""
 import ast
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,22 @@ def test_scipy_sparse_only_in_method_b_and_scaling():
     assert importers == {"method_b.py", "scaling.py"}, importers
 
 
+def count_calls(fn, *args):
+    """Python and C calls made by ``fn(*args)``, as ``sys.setprofile`` sees them."""
+    made = 0
+
+    def profile(frame, event, arg):
+        nonlocal made
+        made += event in ("call", "c_call")
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return made
+
+
 def test_edge_list_parse_makes_no_python_calls_per_line(tmp_path):
     # the parse works on whole arrays: a clean 40k-line file makes no more
     # Python and C calls than a clean 1k-line one, but for a fixed allowance
@@ -127,18 +144,7 @@ def test_edge_list_parse_makes_no_python_calls_per_line(tmp_path):
     def calls(lines):
         path = tmp_path / f"edges_{lines}.csv"
         path.write_text("".join(f"u{i},v{i % 997}\n" for i in range(lines)), encoding="utf-8")
-        made = 0
-
-        def profile(frame, event, arg):
-            nonlocal made
-            made += event in ("call", "c_call")
-
-        sys.setprofile(profile)
-        try:
-            load_edge_list(path)
-        finally:
-            sys.setprofile(None)
-        return made, -(-path.stat().st_size // graph._BLOCK_BYTES)
+        return count_calls(load_edge_list, path), -(-path.stat().st_size // graph._BLOCK_BYTES)
 
     small, _ = calls(1_000)
     large, blocks = calls(40_000)
@@ -158,19 +164,42 @@ def test_features_writer_makes_no_python_calls_per_row(tmp_path):
         for step in range(3):
             est = nodes[1 + 2 * step::6]
             store.set_estimated_many(est, np.full((est.size, 2), -0.1 * step), step)
-        made = 0
-
-        def profile(frame, event, arg):
-            nonlocal made
-            made += event in ("call", "c_call")
-
-        sys.setprofile(profile)
-        try:
-            write_features_csv(tmp_path / f"features_{rows}.csv", store, g, include_provenance=True)
-        finally:
-            sys.setprofile(None)
+        made = count_calls(write_features_csv, tmp_path / f"features_{rows}.csv", store, g, True)
         return made, -(-rows // features._BLOCK_ROWS)
 
     small, _ = calls(1_000)
     large, blocks = calls(40_000)
     assert large <= small + 50 * blocks, (small, large, blocks)
+
+
+def test_feature_store_index_costs_little_per_row():
+    # the node -> row index is one int array, not a dict of Python ints: a
+    # 100k-row, 2-dim store retains at most 40 bytes a row beyond its floats
+    rows, dim = 100_000, 2
+    nodes, values = np.arange(rows), np.ones((rows, dim))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = FeatureStore(dim)
+        store.set_known_many(nodes, values)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(store) == rows
+    assert retained - rows * dim * 8 <= 40 * rows, retained / rows
+
+
+def test_feature_store_makes_no_python_calls_per_node():
+    # reads, subsets and batched writes work on whole arrays: on a 40k-row
+    # store they make no more Python and C calls than on a 1k-row one
+    def calls(rows):
+        nodes = np.arange(rows)
+        store = FeatureStore(2)
+        store.set_known_many(nodes[::2], np.ones((nodes[::2].size, 2)))
+        est = nodes[1::2]
+        return (count_calls(store.features_of, nodes[::2]),
+                count_calls(store.subset, nodes[::4]),
+                count_calls(store.set_estimated_many, est, np.zeros((est.size, 2)), 0))
+
+    small, large = calls(1_000), calls(40_000)
+    assert all(b <= a + 5 for a, b in zip(small, large)), (small, large)
