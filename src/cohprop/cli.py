@@ -344,6 +344,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the JSON numbers a config may give a numeric flag; a string is taken for
+# any flag whose type converts it, as on the command line
+_CONFIG_NUMBERS = {int: int, float: (int, float)}
+
+
+def _takes(action: argparse.Action, value) -> bool:
+    """Whether ``action``'s flag takes the config value ``value`` on the command line."""
+    if isinstance(value, str):
+        try:
+            value = (action.type or str)(value)
+        except ValueError:
+            return False
+    elif isinstance(value, bool) or not isinstance(value, _CONFIG_NUMBERS.get(action.type, ())):
+        return False
+    return action.choices is None or value in action.choices
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     subcommand = next((a for a in argv if not a.startswith("-")), None)
     if subcommand == "generate":
@@ -357,18 +374,28 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
         return
     with open(cfg_path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
-    defaults = dict(config.get("global", {}))
-    defaults.update(config.get(subcommand, {}) if subcommand else {})
+    if not isinstance(config, dict):
+        raise ValueError(f"{cfg_path}: a config file must hold a JSON object")
+    defaults = {}
+    for section in ("global", subcommand):
+        values = config.get(section, {}) if section else {}
+        if not isinstance(values, dict):
+            raise ValueError(f"config section {section!r} must be a JSON object")
+        defaults.update(values)
     if not defaults:
         return
     for action in parser._subparsers._group_actions:  # noqa: SLF001 - argparse has no public walk
         subparser = action.choices.get(subcommand)
         if subparser is None:
             continue
-        valid = {a.dest for a in subparser._actions}
-        unknown = set(defaults) - valid
+        flags = {a.dest: a for a in subparser._actions}
+        unknown = set(defaults) - set(flags)
         if unknown:
             raise ValueError(f"unknown config keys for {subcommand!r}: {sorted(unknown)}")
+        for key, value in defaults.items():
+            if not _takes(flags[key], value):
+                raise ValueError(f"config key {key!r}: {flags[key].option_strings[-1]} "
+                                 f"does not take {value!r}")
         subparser.set_defaults(**defaults)
 
 

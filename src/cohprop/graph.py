@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import codecs
 import csv
-import io
 import logging
 import os
 from enum import Enum
 from itertools import count
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import IO, Sequence, Union
 
 import numpy as np
 
@@ -28,6 +27,10 @@ logger = logging.getLogger(__name__)
 _BLOCK_BYTES = 1 << 20
 _BLOCK_LINES = 1 << 12  # edge-list lines written per block
 _COMMENT = "#"  # edge-list lines starting with this are skipped
+# int32 holds the parse's field offsets below this many source bytes, and
+# incidence's column positions below this many columns; int64 from there on
+_NARROW_OFFSETS = 2**31
+_NARROW_POSITIONS = 2**31
 
 __all__ = [
     "Direction",
@@ -239,7 +242,7 @@ class DirectedGraph:
 
     def neighborhood(self, nodes, direction: Direction) -> np.ndarray:
         """Union of ``neighbors(v, direction)`` over a node set (may overlap it)."""
-        flat, _ = self._gather(as_node_array(nodes, self._n), direction)
+        flat, _ = self._gather(as_node_array(nodes), direction)
         seen = np.zeros(self._n, dtype=bool)  # a mask, not a sort: hub lists repeat a lot
         seen[flat] = True
         return np.flatnonzero(seen)
@@ -335,43 +338,11 @@ def incidence(
     flat, bounds = g._gather(np.asarray(rows, dtype=np.int64), direction)
     # one position map is both the membership test (-1: not a column) and the
     # column index; int32 keeps its copy of a hub-sized gather at half size
-    pos = np.full(g.node_count, -1, dtype=np.int32 if cols.size < 2**31 else np.int64)
+    pos = np.full(g.node_count, -1,
+                  dtype=np.int32 if cols.size < _NARROW_POSITIONS else np.int64)
     pos[cols] = np.arange(cols.size)
     col = pos[flat]
     return _restrict(col, bounds, col >= 0)
-
-
-def _iter_lines(source) -> Iterator[str]:
-    """Lines of an edge-list source as text.
-
-    ``\\n``, ``\\r\\n`` and a lone ``\\r`` each end a line, for every kind of
-    source, as in a file opened in text mode.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
-        return
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    else:  # file-like: may yield bytes or text
-        text = "".join(line.decode("utf-8") if isinstance(line, bytes) else line
-                       for line in source)
-    yield from io.StringIO(text, newline=None)
-
-
-def _first_bad_record(lines: Iterable[str], first_line: int, sep: str):
-    """The error for the first malformed record of ``lines``, whose first is line ``first_line``."""
-    for lineno, raw in enumerate(lines, start=first_line):
-        line = raw.strip()
-        if not line or line.startswith(_COMMENT):
-            continue
-        fields = [f.strip() for f in line.split(sep)]
-        if len(fields) != 2:
-            return EdgeListParseError(
-                f"expected 2 fields separated by {sep!r}, got {len(fields)}", lineno
-            )
-        if not fields[0] or not fields[1]:
-            return EdgeListParseError("empty node label", lineno)
 
 
 # str.strip() drops the characters for which str.isspace() holds. In UTF-8
@@ -429,12 +400,15 @@ def _strip(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, leading: bool) -> No
 
 
 def _read(source) -> tuple[np.ndarray, int]:
-    """The UTF-8 bytes of an edge-list source as a ``uint8`` array, and their count.
+    """The UTF-8 bytes of an edge-list source as a ``uint8`` array, and their count n.
 
-    A path is read whole into an array with 8 spare zero bytes; ``bytes``
-    are used as they are; a file-like source is read (or its lines
-    joined) and encoded. Raises ``UnicodeDecodeError`` on bytes that are
-    not UTF-8. The array holds at least 8 bytes.
+    Every kind of source comes back the same way: its n bytes, then zero
+    bytes to the array's end, at least 8 of them. So an 8-byte window may
+    start at any byte of the data. A path is read whole into such an
+    array; a pipe, or a file that grew past its size, is read on to its
+    end and copied once. ``bytes`` are copied once, and a file-like
+    source is read (or its lines joined) and encoded. Raises
+    ``UnicodeDecodeError`` on bytes that are not UTF-8.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
@@ -442,34 +416,32 @@ def _read(source) -> tuple[np.ndarray, int]:
             buf = np.zeros(size + 8, dtype=np.uint8)
             n = fh.readinto(buf[:size])
             rest = fh.read()  # what a pipe, or a file that grew, holds beyond its size
-        if rest:
-            buf = np.frombuffer(buf[:n].tobytes() + rest, dtype=np.uint8)
-            n = buf.size
+        data = buf[:n].tobytes() + rest if rest else None
     elif isinstance(source, bytes):
-        buf, n = np.frombuffer(source, dtype=np.uint8), len(source)
+        data = source
     else:  # file-like: may hold bytes or text
         chunks = [source.read()] if hasattr(source, "read") else source
-        text = "".join(c.decode("utf-8") if isinstance(c, bytes) else c for c in chunks)
-        buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-        n = buf.size
+        data = "".join(c.decode("utf-8") if isinstance(c, bytes) else c
+                       for c in chunks).encode("utf-8")
+    if data is not None:
+        buf, n = np.frombuffer(data + bytes(8), dtype=np.uint8), len(data)
     if n and buf[:n].max() >= 0x80:
         codecs.utf_8_decode(buf[:n], "strict", True)
-    if buf.size < 8:
-        buf = np.concatenate((buf, np.zeros(8, dtype=np.uint8)))
     return buf, n
 
 
-def _line_ends(buf: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
+def _line_ends(buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Positions of the line breaks in ``buf[lo:hi]``: each ``\\n``, and each ``\\r`` not before one.
 
     The ``\\r`` of a ``\\r\\n`` stays in its line, where stripping drops it.
+    ``buf[hi]`` must exist: :func:`_read`'s zero tail provides it at the end.
     """
     at = np.flatnonzero(buf[lo:hi] <= 13) + lo
     byte = buf[at]
     end = byte == 10
     cr = np.flatnonzero(byte == 13)
     if cr.size:
-        end[cr] = buf[np.minimum(at[cr] + 1, n - 1)] != 10
+        end[cr] = buf[at[cr] + 1] != 10
     return at[end]
 
 
@@ -490,9 +462,10 @@ def _block_fields(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, first_l
     first line is line ``first_line`` of the stream. A line is stripped;
     it is a record unless it is then blank or starts with ``#``. A record
     must hold ``sep`` once, counted from the left without overlaps as
-    ``str.split`` does, and both stripped fields must be non-empty. On
-    the first record that fails, its line is walked again as text to
-    raise the line loop's error.
+    ``str.split`` does, and both stripped fields must be non-empty. The
+    first record that fails raises :class:`EdgeListParseError`, worked
+    out from that record's own stripped bytes: "expected 2 fields" unless
+    it holds ``sep`` once, else "empty node label".
     """
     lo, hi = starts.copy(), ends.copy()
     _strip(buf, lo, hi, True)
@@ -515,11 +488,13 @@ def _block_fields(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, first_l
     _strip(buf, dst_start, hi, True)
     bad = ~once | (src_end == lo) | (dst_start == hi)
     if bad.any():
-        k = int(keep[np.argmax(bad)])
-        raise _first_bad_record(_iter_lines(buf[starts[k]:ends[k]].tobytes()),
-                                first_line + k, sep)
-    # int32 offsets below 2 GiB halve the per-field arrays the parse keeps
-    fields = np.empty((lo.size, 2), dtype=np.int32 if buf.size < 2**31 else np.int64)
+        j = int(np.argmax(bad))
+        got = buf[lo[j]:hi[j]].tobytes().decode("utf-8").count(sep) + 1
+        raise EdgeListParseError(
+            f"expected 2 fields separated by {sep!r}, got {got}" if got != 2
+            else "empty node label", first_line + int(keep[j]))
+    # int32 offsets halve the per-field arrays the parse keeps
+    fields = np.empty((lo.size, 2), dtype=np.int32 if buf.size < _NARROW_OFFSETS else np.int64)
     lengths = np.empty_like(fields)
     fields[:, 0], fields[:, 1] = lo, dst_start
     lengths[:, 0], lengths[:, 1] = src_end - lo, hi - dst_start
@@ -538,10 +513,10 @@ def _fields(buf: np.ndarray, n: int, sep: str):
     lo, line, done = 0, 1, 0
     while lo < n:
         hi = min(lo + _BLOCK_BYTES, n)
-        ends = _line_ends(buf, n, lo, hi)
+        ends = _line_ends(buf, lo, hi)
         while not ends.size and hi < n:  # a line longer than the block
             hi = min(2 * hi - lo, n)
-            ends = _line_ends(buf, n, lo, hi)
+            ends = _line_ends(buf, lo, hi)
         if hi == n and (not ends.size or ends[-1] < n - 1):
             ends = np.append(ends, n)  # the last line has no break
         block_starts, block_lengths = _block_fields(
@@ -563,28 +538,17 @@ def _words(buf: np.ndarray) -> np.ndarray:
     return np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
 
 
-def _read_words(words: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The window at each position ``at``; one that would run past the buffer's end is
-    read from its last window, shifted down so that the bytes beyond are zero."""
-    last = words.size - 1
-    if not at.size or at.max() <= last:
-        return words[at]
-    out = words[np.minimum(at, last)]
-    late = np.flatnonzero(at > last)
-    out[late] >>= ((at[late] - last) * 8).astype(np.uint64)
-    return out
-
-
 def _label_words(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
     """The labels at ``starts``, 8 bytes at a time: yields ``(fields, word)`` for j = 0, 1, ...
 
     ``fields`` are the positions in ``starts`` of the labels longer than 8j
     bytes (None at j = 0: all of them), and ``word`` holds their bytes 8j
-    to 8j+7, zero past a label's end.
+    to 8j+7, zero past a label's end. Every window is read as it is:
+    :func:`_read`'s zero tail keeps the last one inside the buffer.
     """
     fields, at, rest = None, starts, lengths
     while at.size:
-        word = _read_words(words, at)
+        word = words[at]
         beyond = _BITS_BEYOND[np.minimum(rest, 8, out=np.empty(rest.size, dtype=np.uint8),
                                          casting="unsafe")]
         word <<= beyond
@@ -714,7 +678,9 @@ def load_edge_list(
     records at all, or when ``sep`` is empty or holds a line break.
 
     The parse works on the source's bytes as one NumPy array, in blocks
-    of lines (``_BLOCK_BYTES``); no Python object is made per line. Labels
+    of lines (``_BLOCK_BYTES``); no Python object is made per line. Every
+    kind of source, a pipe included, ends in 8 zero bytes there, and a
+    malformed record's error comes from its own stripped bytes. Labels
     are interned by a sort of 64-bit keys and an exact byte comparison, and
     only their first occurrences are decoded. Beyond the source's bytes,
     the parse keeps an int32 start and length a field (int64 from 2 GiB),

@@ -14,7 +14,8 @@ given seed and numpy version and could run parallel over sources.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass
+from numbers import Integral, Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -68,9 +69,27 @@ class PlantedConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlantedConfig":
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
+        """A validated config from a JSON object, with each key's type checked first."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a planted config must be a JSON object, got {data!r}")
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        missing = [name for name, f in fields.items() if f.default is MISSING and name not in data]
+        if missing:
+            raise ValueError(f"missing config keys: {missing}")
+        for key, value in data.items():
+            if key == "mixture_centers":
+                ok = value is None or (isinstance(value, (list, tuple)) and all(
+                    isinstance(row, (list, tuple)) and all(map(_is_number, row)) for row in value))
+                want = "null or a list of rows of numbers"
+            elif fields[key].type == "int":  # annotations are strings here
+                ok, want = _is_number(value, Integral), "an integer"
+            else:
+                ok, want = _is_number(value), "a number"
+            if not ok:
+                raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
         cfg = cls(**data)
         cfg.validate()
         return cfg
@@ -79,6 +98,11 @@ class PlantedConfig:
     def from_json(cls, path) -> "PlantedConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _is_number(value, kind=Real) -> bool:
+    """Whether ``value`` is a number of ``kind``; ``True`` and ``False`` are not numbers here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def graded_mixture_centers() -> list[tuple[float, float]]:

@@ -3,7 +3,10 @@ package. Everything here favors obviousness over speed: plain Python loops,
 sets, and textbook formulas.
 """
 import csv
+import io
 import math
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -13,7 +16,6 @@ from cohprop.graph import (
     DirectedGraph,
     Direction,
     EdgeListParseError,
-    _iter_lines,
     as_node_array,
     node_mask,
 )
@@ -120,6 +122,24 @@ def random_graph(rng, n_nodes, n_edges):
             pairs.add((int(u), int(v)))
     edges = sorted(pairs)
     return DirectedGraph.from_edges(edges, node_count=n_nodes), edges
+
+
+def _iter_lines(source) -> Iterator[str]:
+    """Lines of an edge-list source as text.
+
+    ``\\n``, ``\\r\\n`` and a lone ``\\r`` each end a line, for every kind of
+    source, as in a file opened in text mode.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as fh:
+            yield from fh
+        return
+    if isinstance(source, bytes):
+        text = source.decode("utf-8")
+    else:  # file-like: may yield bytes or text
+        text = "".join(line.decode("utf-8") if isinstance(line, bytes) else line
+                       for line in source)
+    yield from io.StringIO(text, newline=None)
 
 
 def reference_load_edge_list(source, sep=",", comment="#"):

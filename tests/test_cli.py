@@ -41,16 +41,17 @@ def workspace(tmp_path):
 
 
 def write_unbalanced_quote(path, header):
-    # the open quote runs on past csv's 128 KiB field limit
+    # the open quote runs on past csv's 128 KiB field limit; the error must
+    # name line 2, where the bad row began, not the line where csv gave up
     path.write_text(header + '\n"a,0.5\n' + "".join(f"u{i},0.5\n" for i in range(30_000)))
+    return f"{path}:2: field larger than field limit"
 
 
-def assert_one_error_line(capsys, path):
-    # the error names the line on which the bad row began, not where csv gave up
+def assert_one_error_line(capsys, expected):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-    assert f"{path}:2: field larger than field limit" in err, err
+    assert expected in err, err
 
 
 class TestParsing:
@@ -130,6 +131,25 @@ class TestGenerate:
         reference_write_edge_list(tmp_path / "want.csv", g)
         assert (out / "edges.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    @pytest.mark.parametrize("cfg, expected", [
+        ({"n_nodes": "50", "n_elites": 2}, "config key 'n_nodes' must be an integer, got '50'"),
+        ({"n_nodes": 50.5, "n_elites": 2}, "config key 'n_nodes' must be an integer, got 50.5"),
+        ({"n_nodes": 50, "n_elites": True}, "config key 'n_elites' must be an integer"),
+        ({"n_nodes": 50, "n_elites": 2, "beta": [1]}, "config key 'beta' must be a number"),
+        ({"n_nodes": 50, "n_elites": 2, "mixture_centers": {"a": 1}},
+         "config key 'mixture_centers' must be null or a list of rows of numbers"),
+        ({"n_elites": 2}, "missing config keys: ['n_nodes']"),
+        ([], "a planted config must be a JSON object, got []"),
+    ])
+    def test_config_of_the_wrong_type_is_one_error_line(self, tmp_path, capsys, cfg, expected):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["generate", "--config", str(cfg_path),
+                   "--out-edges", "edges.csv", "--out-features", "truth.csv",
+                   "--out-elites", "elites.txt", "--out-dir", str(tmp_path / "gen")])
+        assert rc == 1
+        assert_one_error_line(capsys, expected)
+
 
 class TestPropagate:
     @pytest.mark.parametrize("method", ["a", "b"])
@@ -155,14 +175,14 @@ class TestPropagate:
 
     def test_malformed_seed_features_is_one_error_line(self, workspace, capsys):
         bad = workspace / "bad_seed.csv"
-        write_unbalanced_quote(bad, "node_label,f1")
+        expected = write_unbalanced_quote(bad, "node_label,f1")
         rc = main(["propagate", "--method", "a", "--direction", "up",
                    "--epsilon", "0.6", "--max-steps", "3",
                    "--graph", str(workspace / "edges.csv"),
                    "--seed-features", str(bad), "--out", "features.csv",
                    "--out-dir", str(workspace / "prop_bad")])
         assert rc == 1
-        assert_one_error_line(capsys, bad)
+        assert_one_error_line(capsys, expected)
 
 
 class TestEvaluateAndReport:
@@ -190,11 +210,11 @@ class TestEvaluateAndReport:
 
     def test_malformed_report_input_is_one_error_line(self, workspace, capsys):
         bad = workspace / "bad_report.csv"
-        write_unbalanced_quote(bad, ",".join(CSV_COLUMNS))
+        expected = write_unbalanced_quote(bad, ",".join(CSV_COLUMNS))
         rc = main(["report", "--inputs", str(bad), "--out", "merged.csv",
                    "--out-dir", str(workspace / "report_bad")])
         assert rc == 1
-        assert_one_error_line(capsys, bad)
+        assert_one_error_line(capsys, expected)
 
     def test_seed_set_file(self, workspace):
         out = workspace / "eval2"
@@ -250,6 +270,48 @@ class TestConfigAndEnv:
                    "--out-labels", "labels.csv"])
         assert rc == 1
         assert "bogus_flag" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, cfg, expected", [
+        ("propagate", {"propagate": {"p": [2]}}, "config key 'p': --p does not take [2]"),
+        ("propagate", {"propagate": {"max_steps": True}}, "--max-steps does not take True"),
+        ("propagate", {"propagate": {"p": "two"}}, "--p does not take 'two'"),
+        ("propagate", {"propagate": {"log": None}}, "--log does not take None"),
+        ("evaluate", {"evaluate": {"direction": "sideways"}}, "--direction does not take"),
+        ("ingest", {"global": {"sep": 5}}, "config key 'sep': --sep does not take 5"),
+        ("ingest", {"global": [["sep", ";"]]}, "config section 'global' must be a JSON object"),
+        ("ingest", [1, 2], "a config file must hold a JSON object"),
+    ])
+    def test_config_value_the_flag_does_not_take_is_one_error_line(self, workspace, capsys,
+                                                                   sub, cfg, expected):
+        path = workspace / "typed.json"
+        path.write_text(json.dumps(cfg))
+        graph = ["--graph", str(workspace / "edges.csv")]
+        rest = {
+            "ingest": [*graph, "--out-labels", "labels.csv"],
+            "propagate": [*graph, "--method", "a", "--direction", "up", "--epsilon", "0.5",
+                          "--max-steps", "1", "--seed-features", str(workspace / "seed.csv"),
+                          "--out", "p.csv"],
+            "evaluate": [*graph, "--protocol", "sweep-a", "--features", str(workspace / "seed.csv"),
+                         "--epsilon-grid", "0.5", "--out", "r.csv"],
+        }[sub]
+        rc = main([sub, "--config", str(path), *rest, "--out-dir", str(workspace / "typed")])
+        assert rc == 1
+        assert_one_error_line(capsys, expected)
+
+    def test_config_value_given_as_the_command_line_gives_it(self, workspace):
+        # a string the flag's type converts is taken, as are JSON numbers
+        out = workspace / "typed_ok"
+        path = workspace / "typed_ok.json"
+        path.write_text(json.dumps({"global": {"sep": ","},
+                                    "propagate": {"p": "1.5", "max_steps": 1, "log": "l.csv"}}))
+        rc = main(["propagate", "--config", str(path), "--method", "a", "--direction", "up",
+                   "--epsilon", "0.5", "--max-steps", "1",
+                   "--graph", str(workspace / "edges.csv"),
+                   "--seed-features", str(workspace / "seed.csv"),
+                   "--out", "p.csv", "--out-dir", str(out)])
+        assert rc == 0
+        assert (out / "l.csv").exists()
+        assert json.loads((out / "manifest_propagate.json").read_text())["parameters"]["p"] == 1.5
 
     def test_env_out_dir(self, workspace, monkeypatch):
         target = workspace / "env_out"

@@ -1,7 +1,9 @@
 import csv
 import io
+import os
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -180,6 +182,11 @@ def parse_outcome(parse, text, sep, kind):
             g = parse(source, sep=sep)
         except ValueError as err:
             return type(err), str(err), getattr(err, "line", None)
+    return graph_state(g)
+
+
+def graph_state(g):
+    """A graph's labels, counters and CSR arrays, in comparable form."""
     csr = (g._fwd_indptr, g._fwd_indices, g._rev_indptr, g._rev_indices)
     return (g.labels, g.self_loops_dropped, g.duplicates_collapsed, *(a.tolist() for a in csr))
 
@@ -221,6 +228,50 @@ class TestLoadEdgeListMatchesTheLineLoop:
         for source in (b"a,b\rc,d\n", io.StringIO("a,b\rc,d\n")):
             g = load_edge_list(source)
             assert g.labels == ("a", "b", "c", "d") and g.edge_count == 2
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_is_read_past_its_size(self, tmp_path):
+        # a pipe reports size 0, so all of it is read on past st_size; the
+        # data is larger than a pipe's buffer, so the writer blocks meanwhile
+        data = ("".join(f" u{i} ,\tv{i % 97}  \r\n" for i in range(10_000))
+                + "\u00e9 long label,u1").encode()
+        fifo = tmp_path / "edges.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(data), daemon=True)
+        writer.start()
+        g = load_edge_list(fifo)
+        writer.join(timeout=10)
+        assert graph_state(g) == graph_state(reference_load_edge_list(data))
+        assert g.edge_count == 10_001 and g.labels[-1] == "\u00e9 long label"
+
+
+class TestWidthSwitches:
+    # buffers of 2 GiB and 2**31 columns are out of a test's reach, so each
+    # bound is patched to 0, which forces its int64 path on small inputs
+    @given(edge_list_texts())
+    def test_int64_field_offsets_give_the_line_loop_graph(self, sep_text):
+        sep, text = sep_text
+        want = parse_outcome(reference_load_edge_list, text, sep, "bytes")
+        with mock.patch.object(graph_module, "_NARROW_OFFSETS", 0):
+            got = parse_outcome(load_edge_list, text, sep, "bytes")
+        assert got == want
+
+    def test_int64_field_offsets_are_used(self):
+        with mock.patch.object(graph_module, "_NARROW_OFFSETS", 0):
+            starts, lengths, _ = graph_module._fields(*graph_module._read(b"a,b\n"), ",")
+        assert starts.dtype == lengths.dtype == np.int64
+
+    @pytest.mark.parametrize("d", list(Direction))
+    def test_int64_positions_give_the_int32_incidence(self, d):
+        rng = np.random.default_rng(7)
+        g, _ = random_graph(rng, 40, 200)
+        rows = rng.integers(0, 40, size=30)  # repeats allowed
+        cols = np.flatnonzero(rng.random(40) < 0.5)
+        narrow = incidence(g, rows, cols, d)
+        with mock.patch.object(graph_module, "_NARROW_POSITIONS", 0):
+            wide = incidence(g, rows, cols, d)
+        assert narrow[0].dtype == np.int32 and wide[0].dtype == np.int64
+        assert narrow[0].tolist() == wide[0].tolist() and narrow[1].tolist() == wide[1].tolist()
 
 
 class TestLabelInterning:

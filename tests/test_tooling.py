@@ -100,6 +100,26 @@ def test_library_imports_are_used():
     assert SOURCES and not unused, unused
 
 
+def test_private_helpers_are_used_by_the_library():
+    # a private top-level function or class must be named somewhere in the
+    # library outside its own definition; a helper only tests use lives
+    # under tests/ (the line-loop reader of oracles.reference_load_edge_list)
+    named = []  # (top-level statement, name it mentions)
+    private = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name.startswith("_"):
+                private.append((path.name, top))
+            named += [
+                (top, node.id if isinstance(node, ast.Name)
+                 else node.attr if isinstance(node, ast.Attribute) else node.name)
+                for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+            ]
+    unused = [f"{name}:{top.lineno} {top.name}" for name, top in private
+              if not any(user is not top and used == top.name for user, used in named)]
+    assert private and not unused, unused
+
+
 def test_scipy_sparse_only_in_method_b_and_scaling():
     # the propagation layer passes sparse matrices as (indices, indptr) CSR
     # arrays; SciPy's sparse types appear only in the co-neighbour product
