@@ -10,7 +10,6 @@ COHPROP_OUTDIR.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -29,6 +28,7 @@ from .evaluation import (
 )
 from .features import (
     _csv_rows,
+    _write_csv,
     _write_json,
     read_features_csv,
     write_features_csv,
@@ -110,7 +110,7 @@ def _load_graph(args) -> DirectedGraph:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_ingest(args, out_dir: Path) -> int:
+def cmd_ingest(args, out_dir: Path) -> dict[str, Path]:
     g = _load_graph(args)
     labels_path = _resolve(out_dir, args.out_labels)
     g.write_label_map(labels_path)
@@ -122,12 +122,11 @@ def cmd_ingest(args, out_dir: Path) -> int:
     }
     if args.stats:
         _write_json(_resolve(out_dir, args.stats), stats)
-    write_manifest(out_dir, "ingest", _public_params(args), {"graph": Path(args.graph)})
     print(json.dumps(stats))
-    return 0
+    return {"graph": Path(args.graph)}
 
 
-def cmd_scale(args, out_dir: Path) -> int:
+def cmd_scale(args, out_dir: Path) -> dict[str, Path]:
     g = _load_graph(args)
     elites = [g.id_of(label) for label in _read_label_file(Path(args.elites))]
     adj = bipartite_from_graph(g, elites)
@@ -152,14 +151,10 @@ def cmd_scale(args, out_dir: Path) -> int:
             "total_inertia": result.total_inertia,
         }
         _write_json(_resolve(out_dir, args.report), payload)
-    write_manifest(
-        out_dir, "scale", _public_params(args),
-        {"graph": Path(args.graph), "elites": Path(args.elites)},
-    )
-    return 0
+    return {"graph": Path(args.graph), "elites": Path(args.elites)}
 
 
-def cmd_generate(args, out_dir: Path) -> int:
+def cmd_generate(args, out_dir: Path) -> dict[str, Path]:
     cfg = PlantedConfig.from_json(args.config)
     g, truth, elites = generate_planted(cfg)
     g.write_edge_list(_resolve(out_dir, args.out_edges))
@@ -167,13 +162,10 @@ def cmd_generate(args, out_dir: Path) -> int:
     with open(_resolve(out_dir, args.out_elites), "w", encoding="utf-8") as fh:
         for e in elites.tolist():
             fh.write(g.label_of(e) + "\n")
-    write_manifest(
-        out_dir, "generate", _public_params(args), {"config": Path(args.config)}
-    )
-    return 0
+    return {"config": Path(args.config)}
 
 
-def cmd_propagate(args, out_dir: Path) -> int:
+def cmd_propagate(args, out_dir: Path) -> dict[str, Path]:
     g = _load_graph(args)
     store = read_features_csv(args.seed_features, g)
     seed = store.nodes()
@@ -183,25 +175,15 @@ def cmd_propagate(args, out_dir: Path) -> int:
 
     write_features_csv(_resolve(out_dir, args.out), result.store, g, include_provenance=True)
     if args.log:
-        with open(_resolve(out_dir, args.log), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "added", "excluded"])
-            for rec in result.history:
-                writer.writerow([rec.step, rec.added, rec.excluded])
+        _write_csv(_resolve(out_dir, args.log), ["step", "added", "excluded"],
+                   ([rec.step, rec.added, rec.excluded] for rec in result.history))
     if args.method == "b" and args.log_pivots:
-        with open(_resolve(out_dir, args.log_pivots), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "pivots"])
-            for rec in result.history:
-                writer.writerow([rec.step, rec.pivots])
-    write_manifest(
-        out_dir, "propagate", _public_params(args),
-        {"graph": Path(args.graph), "seed_features": Path(args.seed_features)},
-    )
-    return 0
+        _write_csv(_resolve(out_dir, args.log_pivots), ["step", "pivots"],
+                   ([rec.step, rec.pivots] for rec in result.history))
+    return {"graph": Path(args.graph), "seed_features": Path(args.seed_features)}
 
 
-def cmd_evaluate(args, out_dir: Path) -> int:
+def cmd_evaluate(args, out_dir: Path) -> dict[str, Path]:
     g = _load_graph(args)
     truth = read_features_csv(args.features, g)
     direction = Direction.from_string(args.direction)
@@ -228,14 +210,10 @@ def cmd_evaluate(args, out_dir: Path) -> int:
     report.to_csv(_resolve(out_dir, args.out))
     if args.out_json:
         report.to_json(_resolve(out_dir, args.out_json))
-    write_manifest(
-        out_dir, "evaluate", _public_params(args),
-        {"graph": Path(args.graph), "features": Path(args.features)},
-    )
-    return 0
+    return {"graph": Path(args.graph), "features": Path(args.features)}
 
 
-def cmd_report(args, out_dir: Path) -> int:
+def cmd_report(args, out_dir: Path) -> dict[str, Path]:
     header = list(CSV_COLUMNS)
     merged: list[list[str]] = []
     for path in args.inputs:
@@ -245,22 +223,15 @@ def cmd_report(args, out_dir: Path) -> int:
             if head != header:
                 raise ValueError(f"{path}: unexpected report header {head}")
             merged.extend(row for _, row in reader)
-    out_path = _resolve(out_dir, args.out)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(merged)
-    write_manifest(
-        out_dir, "report", _public_params(args),
-        {f"input_{i}": Path(p) for i, p in enumerate(args.inputs)},
-    )
-    return 0
+    _write_csv(_resolve(out_dir, args.out), header, merged)
+    return {f"input_{i}": Path(p) for i, p in enumerate(args.inputs)}
 
 
 # -- parser ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subparsers by subcommand name."""
     parser = argparse.ArgumentParser(
         prog="cohprop",
         description="Latent feature scaling and coherence-gated propagation on follow graphs.",
@@ -341,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", required=True)
     p_rep.set_defaults(func=cmd_report)
 
-    return parser
+    return parser, sub.choices
 
 
 # the JSON numbers a config may give a numeric flag; a string is taken for
@@ -361,9 +332,16 @@ def _takes(action: argparse.Action, value) -> bool:
     return action.choices is None or value in action.choices
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+def _apply_config(subparsers: dict[str, argparse.ArgumentParser], argv: list[str]) -> None:
+    """Set the chosen subcommand's flag defaults from its ``--config`` file.
+
+    A flag the config supplies is no longer required on the command line;
+    an explicit flag still wins. A missing or unknown subcommand is left for
+    the full parser to report.
+    """
     subcommand = next((a for a in argv if not a.startswith("-")), None)
-    if subcommand == "generate":
+    subparser = subparsers.get(subcommand)
+    if subparser is None or subcommand == "generate":
         return  # generate's --config is the planted-graph settings, not run defaults
     # the same spellings the full parser accepts (--config x, --config=x, --conf x);
     # a missing value is left for the full parser to report as a usage error
@@ -378,44 +356,44 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
         raise ValueError(f"{cfg_path}: a config file must hold a JSON object")
     defaults = {}
     for section in ("global", subcommand):
-        values = config.get(section, {}) if section else {}
+        values = config.get(section, {})
         if not isinstance(values, dict):
             raise ValueError(f"config section {section!r} must be a JSON object")
         defaults.update(values)
-    if not defaults:
-        return
-    for action in parser._subparsers._group_actions:  # noqa: SLF001 - argparse has no public walk
-        subparser = action.choices.get(subcommand)
-        if subparser is None:
-            continue
-        flags = {a.dest: a for a in subparser._actions}
-        unknown = set(defaults) - set(flags)
-        if unknown:
-            raise ValueError(f"unknown config keys for {subcommand!r}: {sorted(unknown)}")
-        for key, value in defaults.items():
-            if not _takes(flags[key], value):
-                raise ValueError(f"config key {key!r}: {flags[key].option_strings[-1]} "
-                                 f"does not take {value!r}")
-        subparser.set_defaults(**defaults)
+    flags = {a.dest: a for a in subparser._actions}
+    unknown = set(defaults) - set(flags)
+    if unknown:
+        raise ValueError(f"unknown config keys for {subcommand!r}: {sorted(unknown)}")
+    for key, value in defaults.items():
+        if not _takes(flags[key], value):
+            raise ValueError(f"config key {key!r}: {flags[key].option_strings[-1]} "
+                             f"does not take {value!r}")
+        flags[key].required = False
+    subparser.set_defaults(**defaults)
 
 
 def dispatch(argv: list[str] | None = None) -> int:
+    """Run one subcommand, then write its manifest; a subcommand that raises leaves none."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    _apply_config(parser, argv)
+    parser, subparsers = build_parser()  # built afresh, so a config's changes stay in this call
+    _apply_config(subparsers, argv)
     args = parser.parse_args(argv)
 
     out_dir = args.out_dir or os.environ.get(ENV_OUTDIR) or "."
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return args.func(args, out_dir)
+    inputs = args.func(args, out_dir)
+    write_manifest(out_dir, args.subcommand, _public_params(args), inputs)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         return dispatch(argv)
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -16,13 +16,12 @@ threshold, bit for bit, and a bad input fails as that step loop fails.
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .features import FeatureStore, _write_json, validate_norm_order
+from .features import FeatureStore, _write_csv, _write_json, validate_norm_order
 from .graph import DirectedGraph, Direction, as_node_array, node_mask
 from .method_a import _accept_a, _open_gate, init_state
 from .method_a import step_method_a  # noqa: F401  (perfbench/spans.py wraps it here)
@@ -38,18 +37,6 @@ __all__ = [
     "kfold_eval_method_b",
     "correlate_with_external",
 ]
-
-CSV_COLUMNS = (
-    "epsilon",
-    "method",
-    "direction",
-    "fold",
-    "stat",
-    "error",
-    "size_delta_v",
-    "size_pivots",
-    "coverage",
-)
 
 # the aggregate stats, in report row order
 _STAT_FN = {"mean": np.mean, "median": np.median, "min": np.min, "max": np.max}
@@ -70,6 +57,9 @@ class ReportRow:
     coverage: Optional[float]
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
+
+
 @dataclass
 class EvaluationReport:
     rows: list[ReportRow] = field(default_factory=list)
@@ -83,31 +73,15 @@ class EvaluationReport:
         return out
 
     @staticmethod
-    def _cell(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
+    def _cell(name: str, value) -> str:
+        if value is None:  # an aggregate row's fold reads "all"; other absent values are empty
+            return "all" if name == "fold" else ""
+        return repr(value) if isinstance(value, float) else str(value)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        repr(float(row.epsilon)),
-                        row.method,
-                        row.direction,
-                        "all" if row.fold is None else str(row.fold),
-                        row.stat,
-                        self._cell(row.error),
-                        self._cell(row.size_delta_v),
-                        self._cell(row.size_pivots),
-                        self._cell(row.coverage),
-                    ]
-                )
+        _write_csv(path, CSV_COLUMNS, (
+            [self._cell(name, getattr(row, name)) for name in CSV_COLUMNS] for row in self.rows
+        ))
 
     def to_json(self, path) -> None:
         _write_json(path, {"metadata": self.metadata, "rows": [asdict(r) for r in self.rows]})

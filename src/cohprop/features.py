@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graph import DirectedGraph, Direction, as_node_array, incidence
+from .graph import DirectedGraph, Direction, UnknownNodeError, as_node_array, incidence
 from .graph import grouped_restricted_neighbors  # noqa: F401  (perfbench/spans.py wraps it here)
 
 __all__ = [
@@ -365,6 +365,14 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _write_csv(path, header, rows) -> None:
+    """The one small-table CSV writer: ``header``, then ``rows``, in csv's default dialect."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_features_csv(
     path,
     store: FeatureStore,
@@ -480,7 +488,10 @@ def read_features_csv(path, graph: DirectedGraph) -> FeatureStore:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            nodes.append(graph.id_of(row[0]))
+            try:
+                nodes.append(graph.id_of(row[0]))
+            except UnknownNodeError as exc:
+                raise UnknownNodeError(f"{path}:{lineno}: {exc.args[0]}") from None
             try:
                 values.append([float(x) for x in row[1:1 + dim]])
             except ValueError:

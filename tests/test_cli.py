@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import cohprop
 from cohprop.cli import main
 from cohprop.evaluation import CSV_COLUMNS
+from cohprop.graph import load_edge_list
 from cohprop.synthetic import PlantedConfig, generate_planted
 from oracles import reference_write_edge_list
 
@@ -76,6 +78,55 @@ class TestParsing:
                    str(tmp_path / "labels.csv")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    @staticmethod
+    def argv(workspace, case, bad, text):
+        graph = ["--graph", str(workspace / "edges.csv")]
+        evaluate = ["evaluate", *graph, "--protocol", "sweep-a",
+                    "--features", str(workspace / "seed.csv"), "--out", "r.csv"]
+        return {
+            "seed-features": ["propagate", *graph, "--method", "a", "--direction", "up",
+                              "--epsilon", "0.5", "--max-steps", "1",
+                              "--seed-features", str(bad), "--out", "p.csv"],
+            "report-input": ["report", "--inputs", str(bad), "--out", "merged.csv"],
+            "epsilon-grid": [*evaluate, "--epsilon-grid", text],
+            "seed-set": [*evaluate, "--epsilon-grid", "0.5", "--seed-set", str(bad)],
+        }[case] + ["--out-dir", str(workspace / "bad_out")]
+
+    def run_bad(self, workspace, capsys, case, text, expected, **names):
+        bad = workspace / "bad_input"
+        bad.write_text(text)
+        rc = main(self.argv(workspace, case, bad, text))
+        assert rc == 1
+        assert_one_error_line(capsys, expected.format(bad=bad, **names))
+        # the manifest is written only after its subcommand succeeds
+        assert not list((workspace / "bad_out").glob("manifest_*.json"))
+
+    @pytest.mark.parametrize("case, text, expected", [
+        ("seed-features", "", "{bad}: empty features file"),
+        ("seed-features", "node_label\nu0\n", "{bad}: header must be node_label,f1,...,fN"),
+        ("seed-features", "node_label,provenance\nu0,known\n",
+         "{bad}: no feature columns in header"),
+        ("seed-features", "node_label,f1\nu0,0.5\nu1,high\n", "{bad}:3: non-numeric feature value"),
+        ("report-input", "epsilon,method\n0.5,a\n",
+         "{bad}: unexpected report header ['epsilon', 'method']"),
+        ("epsilon-grid", ",", "--epsilon-grid must list at least one value"),
+        ("seed-set", "# no labels\n\n", "{bad}: no labels found"),
+    ])
+    def test_bad_input_is_one_error_line(self, workspace, capsys, case, text, expected):
+        self.run_bad(workspace, capsys, case, text, expected)
+
+    @pytest.mark.parametrize("case, text, expected", [
+        ("seed-set", "u0\nzz\n", "error: unknown node label 'zz'\n"),
+        ("seed-features", "node_label,f1\nu0,0.1\nzz,0.2\n",
+         "error: {bad}:3: unknown node label 'zz'\n"),
+        ("seed-set", "u0\nu5\n", "error: no features for node {u5}\n"),
+    ])
+    def test_key_error_is_printed_without_quotes(self, workspace, capsys, case, text, expected):
+        u5 = load_edge_list(workspace / "edges.csv").id_of("u5")
+        self.run_bad(workspace, capsys, case, text, expected, u5=u5)
 
 
 class TestIngest:
@@ -313,6 +364,30 @@ class TestConfigAndEnv:
         assert (out / "l.csv").exists()
         assert json.loads((out / "manifest_propagate.json").read_text())["parameters"]["p"] == 1.5
 
+    def test_config_supplies_required_flags(self, workspace):
+        out = workspace / "cfg_required"
+        rest = ["--graph", str(workspace / "edges.csv"),
+                "--seed-features", str(workspace / "seed.csv"),
+                "--out", "p.csv", "--log", "l.csv", "--out-dir", str(out)]
+
+        def run(*argv):
+            assert main(["propagate", *argv, *rest]) == 0
+            files = {path.name: path.read_bytes() for path in out.iterdir()}
+            shutil.rmtree(out)
+            return files
+
+        flags = run("--method", "a", "--direction", "up", "--epsilon", "0.5", "--max-steps", "1")
+        cfg = workspace / "required.json"
+        cfg.write_text(json.dumps({"propagate": {"method": "a", "direction": "up",
+                                                 "epsilon": 0.5, "max_steps": 1}}))
+        assert run("--config", str(cfg)) == flags
+        overridden = run("--config", str(cfg), "--epsilon", "0.0")
+        assert json.loads(overridden["manifest_propagate.json"])["parameters"]["epsilon"] == 0.0
+        # the next call builds its parser afresh, so the flags are required again
+        with pytest.raises(SystemExit) as exc:
+            main(["propagate", *rest])
+        assert exc.value.code == 2
+
     def test_env_out_dir(self, workspace, monkeypatch):
         target = workspace / "env_out"
         monkeypatch.setenv("COHPROP_OUTDIR", str(target))
@@ -322,8 +397,8 @@ class TestConfigAndEnv:
         assert (target / "labels.csv").exists()
 
 
-# generate -> scale -> propagate (a, b) -> evaluate (kfold-b, sweep-a); every path is
-# relative to the working directory, so that the manifests can be compared too
+# generate -> ingest -> scale -> propagate (a, b) -> evaluate (kfold-b, sweep-a) -> report;
+# every path is relative to the working directory, so that the manifests can be compared too
 PIPELINE = """
 import sys
 from cohprop.cli import main
@@ -331,6 +406,7 @@ graph = ["--graph", "edges.csv"]
 runs = [
     ["generate", "--config", "planted.json", "--out-edges", "edges.csv",
      "--out-features", "truth.csv", "--out-elites", "elites.txt"],
+    ["ingest", *graph, "--out-labels", "labels.csv"],
     ["scale", *graph, "--elites", "elites.txt", "--out-rows", "rows.csv",
      "--out-cols", "cols.csv", "--report", "scale.json"],
     *(["propagate", *graph, "--method", m, "--direction", "up", "--epsilon", "0.3",
@@ -341,6 +417,7 @@ runs = [
        "--epsilon-grid", "0.3,0.05,0.3,0.15", "--sample-size", "60", "--k", "4",
        "--out-dir", protocol, "--out", "report.csv", "--out-json", "report.json"]
       for protocol in ("kfold-b", "sweep-a")),
+    ["report", "--inputs", "kfold-b/report.csv", "sweep-a/report.csv", "--out", "merged.csv"],
 ]
 for argv in runs:
     if main(argv):
@@ -363,7 +440,21 @@ def test_pipeline_bytes_do_not_depend_on_the_hash_seed(tmp_path):
         assert done.returncode == 0, done.stderr
         outputs.append({str(path.relative_to(run)): path.read_bytes()
                         for path in sorted(run.rglob("*")) if path.is_file()})
-    # the config, 4 files from generate, 4 from scale, 4 and 3 from propagate b and a,
-    # and 3 from each evaluate, manifests included
-    assert len(outputs[0]) == 22
+    # the config, 4 files from generate, 2 from ingest, 4 from scale, 4 and 3 from
+    # propagate b and a, 3 from each evaluate and 2 from report, manifests included
+    assert len(outputs[0]) == 26
     assert outputs[0] == outputs[1]
+    inputs = {name: json.loads(data)["inputs"] for name, data in outputs[0].items()
+              if Path(name).name.startswith("manifest_")}
+    assert {name: sorted(files) for name, files in inputs.items()} == {
+        "manifest_generate.json": ["config"],
+        "manifest_ingest.json": ["graph"],
+        "manifest_scale.json": ["elites", "graph"],
+        "propagate_a/manifest_propagate.json": ["graph", "seed_features"],
+        "propagate_b/manifest_propagate.json": ["graph", "seed_features"],
+        "kfold-b/manifest_evaluate.json": ["features", "graph"],
+        "sweep-a/manifest_evaluate.json": ["features", "graph"],
+        "manifest_report.json": ["input_0", "input_1"],
+    }
+    assert [inputs["manifest_report.json"][f"input_{i}"]["path"] for i in range(2)] == [
+        "kfold-b/report.csv", "sweep-a/report.csv"]

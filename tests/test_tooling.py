@@ -141,6 +141,32 @@ def test_scipy_sparse_only_in_method_b_and_scaling():
     assert importers == {"method_b.py", "scaling.py"}, importers
 
 
+def test_small_tables_have_one_csv_writer():
+    # features._write_csv writes every small table; the label map keeps its
+    # own writer, since its "\n" line ends are part of the label-map format
+    def is_csv_writer(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "writer"
+                and isinstance(node.value, ast.Name) and node.value.id == "csv")
+
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    sites = sorted(
+        f"{module}.{fn.name}"
+        for module, tree in trees.items()
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn) if is_csv_writer(node)
+    )
+    mentions = sum(is_csv_writer(node) for tree in trees.values() for node in ast.walk(tree))
+    assert sites == ["features._write_csv", "graph.write_label_map"] and mentions == 2, sites
+
+
+def test_cli_reads_no_private_argparse_walk():
+    # the config pass looks its subparser up in the map build_parser returns
+    tree = ast.parse((Path(cohprop.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "_subparsers"]
+    assert not found, found
+
+
 def count_calls(fn, *args):
     """Python and C calls made by ``fn(*args)``, as ``sys.setprofile`` sees them."""
     made = 0
