@@ -360,7 +360,8 @@ def _apply_config(subparsers: dict[str, argparse.ArgumentParser], argv: list[str
         if not isinstance(values, dict):
             raise ValueError(f"config section {section!r} must be a JSON object")
         defaults.update(values)
-    flags = {a.dest: a for a in subparser._actions}
+    # --help and --config itself are no run flags, so a config cannot set them
+    flags = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
     unknown = set(defaults) - set(flags)
     if unknown:
         raise ValueError(f"unknown config keys for {subcommand!r}: {sorted(unknown)}")

@@ -31,6 +31,12 @@ _COMMENT = "#"  # edge-list lines starting with this are skipped
 # incidence's column positions below this many columns; int64 from there on
 _NARROW_OFFSETS = 2**31
 _NARROW_POSITIONS = 2**31
+# label interning packs each field's index into its key below this many
+# fields, which leaves at least 40 of the 64 bits to the hash. L distinct
+# labels then share a key in about L**2 / 2**41 pairs: 0.02 at 200k labels.
+# A shared key costs a second, full-key pass; the paper's ~100M fields and
+# 6.5M labels would expect about 150 such pairs, so they go to full keys.
+_PACKED_FIELDS = 2**24
 
 __all__ = [
     "Direction",
@@ -162,7 +168,9 @@ class DirectedGraph:
             labels = range(self._n)
         if len(labels) != self._n:
             raise ValueError("label list length must equal node count")
-        self._labels = tuple(map(str, labels))
+        self._labels = tuple(labels)
+        if {*map(type, self._labels)} - {str}:  # str() them only when one is not a str
+            self._labels = tuple(map(str, self._labels))
         self._ids = dict(zip(self._labels, count()))
         if len(self._ids) != self._n:
             raise ValueError("labels must be unique")
@@ -181,7 +189,11 @@ class DirectedGraph:
         Self-loops are dropped and duplicate pairs collapsed; both are
         counted on the returned graph.
         """
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
+        if isinstance(edges, np.ndarray) and edges.dtype in (np.int32, np.int64):
+            arr = edges  # int32 ids, as the parse makes them, are read as they are
+        else:
+            arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
+                             dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -191,24 +203,32 @@ class DirectedGraph:
         if arr.size and (arr.min() < 0 or arr.max() >= node_count):
             raise ValueError("edge endpoint outside 0..node_count-1")
 
+        # one int64 key per pair, u*n + v, built in place: the sorted unique
+        # keys are the pairs in (u, v) order, which is the forward CSR; the
+        # sorted keys v*n + u are the reverse CSR, read back by the same divmod
+        n = int(node_count)
+        keys = arr[:, 0].astype(np.int64)
+        keys *= n
+        keys += arr[:, 1]
         loops = arr[:, 0] == arr[:, 1]
-        n_loops = int(loops.sum())
+        n_loops = int(np.count_nonzero(loops))
         if n_loops:
             logger.warning("dropped %d self-loop record(s)", n_loops)
-
-        # one int64 key per pair, u*n + v: the sorted unique keys are the pairs
-        # in (u, v) order, which is the forward CSR; the sorted keys v*n + u
-        # are the reverse CSR, read back by the same divmod
-        n = int(node_count)
-        arr = arr[~loops]
-        keys = _sorted_unique(arr[:, 0] * n + arr[:, 1])
-        n_dupes = arr.shape[0] - keys.size
+            keys = keys[~loops]
+        del loops
+        records = keys.size
+        keys = _sorted_unique(keys)
+        n_dupes = records - keys.size
         src, dst = np.divmod(keys, n)
-        keys = dst * n + src
+        np.multiply(dst, n, out=keys)
+        keys += src
+        fwd_indptr = _indptr(src, n)
+        del src
         keys.sort()
-        rev_dst, rev_src = np.divmod(keys, n)
+        rev_src = np.empty_like(keys)
+        np.divmod(keys, n, out=(keys, rev_src))  # keys become the reverse CSR's rows
         return cls(
-            n, _indptr(src, n), dst, _indptr(rev_dst, n), rev_src,
+            n, fwd_indptr, dst, _indptr(keys, n), rev_src,
             labels=labels, self_loops_dropped=n_loops, duplicates_collapsed=n_dupes,
         )
 
@@ -609,27 +629,49 @@ def _same_labels(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray, ids
 def _intern(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray, parts: list[slice]):
     """Id of each field's label, and the first field of each id; ids follow first appearance.
 
-    Fields are grouped by key with one sort, and each group's first field
-    is its smallest. Every field is then compared exactly with its group's
-    first field; if two labels share a key, the keys are mixed again with
-    the next salt. Ids come from the first fields alone, so they do not
+    Fields are grouped by key with one in-place sort. Below
+    ``_PACKED_FIELDS`` fields, the first try packs each field's index into
+    the low b bits of its key, b being the bit length of the largest index,
+    under the top 64 - b bits of the hash: the sorted keys then hold each
+    group's fields in field order, so a group's first entry is its first
+    field. Every field is then compared exactly with its group's first
+    field; if two labels share a key, the next try mixes full 64-bit keys
+    with the next salt, sorts them with an index and takes each group's
+    smallest field. Ids come from the first fields alone, so they do not
     depend on the key. Keys and comparisons run over the fields of one
-    ``parts`` slice at a time, so their scratch arrays stay small.
+    ``parts`` slice at a time, so their scratch arrays stay small. At its
+    peak the sort holds an 8-byte key and a 4-byte index a field; the
+    full-key path's index is 8 bytes until the keys are freed.
     """
+    low = (starts.size - 1).bit_length()  # bits of the largest field index
+    index_bits = np.uint64((1 << low) - 1)
     for salt in count():
+        packed = salt == 0 and starts.size <= _PACKED_FIELDS
         keys = np.empty(starts.size, dtype=np.uint64)
         for part in parts:
-            keys[part] = _label_keys(words, starts[part], lengths[part], salt)
-        order = keys.argsort()
-        keys.sort()  # the same as keys[order], without a gather
+            key = _label_keys(words, starts[part], lengths[part], salt)
+            if packed:
+                key &= ~index_bits
+                key |= np.arange(part.start, part.stop, dtype=np.uint64)
+            keys[part] = key
+        if packed:
+            keys.sort()
+            # the field indices, cast a buffer at a time as they are written
+            order = np.bitwise_and(keys, index_bits,
+                                   out=np.empty(keys.size, dtype=starts.dtype), casting="unsafe")
+            keys >>= np.uint64(low)  # the hash alone
+        else:
+            order = keys.argsort()
+            keys.sort()  # the same as keys[order], without a gather
         head = np.empty(keys.size, dtype=bool)  # where a key begins, in key order
         head[0] = True
         np.not_equal(keys[1:], keys[:-1], out=head[1:])
         del keys
-        order = order.astype(starts.dtype)  # as narrow as the offsets from here on
+        order = order.astype(starts.dtype, copy=False)  # as narrow as the offsets from here on
         bounds = np.flatnonzero(head)
         del head
-        first = np.minimum.reduceat(order, bounds)  # each key's first field
+        # each key's first field: a packed group is in field order already
+        first = order[bounds] if packed else np.minimum.reduceat(order, bounds)
         by_appearance = first.argsort()
         id_of = np.empty(first.size, dtype=starts.dtype)
         id_of[by_appearance] = np.arange(first.size)
@@ -681,11 +723,16 @@ def load_edge_list(
     of lines (``_BLOCK_BYTES``); no Python object is made per line. Every
     kind of source, a pipe included, ends in 8 zero bytes there, and a
     malformed record's error comes from its own stripped bytes. Labels
-    are interned by a sort of 64-bit keys and an exact byte comparison, and
-    only their first occurrences are decoded. Beyond the source's bytes,
-    the parse keeps an int32 start and length a field (int64 from 2 GiB),
-    and while it sorts, a 64-bit key and a sort index a field: about 24
-    bytes a field at its peak.
+    are interned by one in-place sort of 64-bit keys and an exact byte
+    comparison (see :func:`_intern`), and only their first occurrences are
+    decoded. Below ``_PACKED_FIELDS`` (2**24) fields each key carries its
+    field's index in its low bits and keeps at least 40 hash bits; beyond
+    that bound, or when two labels share a key, the keys are full 64-bit
+    hashes sorted with an index. Beyond the source's bytes, the parse
+    keeps an int32 start and length a field (int64 from 2 GiB), and while
+    it sorts, a 64-bit key and an int32 index a field: about 21 bytes a
+    field at its peak, 25 on full keys. The int32 ids go to the graph
+    build as they are.
     """
     if not sep or "\n" in sep or "\r" in sep:
         raise ValueError(f"separator must be non-empty without a line break, got {sep!r}")
@@ -696,6 +743,5 @@ def load_edge_list(
     del buf, starts, lengths, firsts  # freed before the labels become strings
     labels = text.decode("utf-8").split("\n")
     del text
-    edges = ids.astype(np.int64).reshape(-1, 2)
-    del ids  # the graph needs only the edges and the labels
-    return DirectedGraph.from_edges(edges, node_count=len(labels), labels=labels)
+    # the int32 ids go to the build as they are: it widens only its keys
+    return DirectedGraph.from_edges(ids.reshape(-1, 2), node_count=len(labels), labels=labels)

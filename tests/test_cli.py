@@ -322,6 +322,18 @@ class TestConfigAndEnv:
         assert rc == 1
         assert "bogus_flag" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["help", "config"])
+    def test_help_and_config_are_not_config_keys(self, workspace, capsys, key):
+        # argparse gives --help and --config a dest too, but neither is a run flag
+        out = workspace / f"not_a_key_{key}"
+        cfg = workspace / f"{key}.json"
+        cfg.write_text(json.dumps({"ingest": {key: "x"}}))
+        rc = main(["ingest", "--config", str(cfg), "--graph", str(workspace / "edges.csv"),
+                   "--out-labels", "labels.csv", "--out-dir", str(out)])
+        assert rc == 1
+        assert_one_error_line(capsys, f"unknown config keys for 'ingest': [{key!r}]")
+        assert not list(out.glob("manifest_*.json"))
+
     @pytest.mark.parametrize("sub, cfg, expected", [
         ("propagate", {"propagate": {"p": [2]}}, "config key 'p': --p does not take [2]"),
         ("propagate", {"propagate": {"max_steps": True}}, "--max-steps does not take True"),

@@ -261,6 +261,54 @@ class TestWidthSwitches:
             starts, lengths, _ = graph_module._fields(*graph_module._read(b"a,b\n"), ",")
         assert starts.dtype == lengths.dtype == np.int64
 
+    @given(edge_list_texts())
+    def test_full_keys_give_the_line_loop_graph(self, sep_text):
+        sep, text = sep_text
+        want = parse_outcome(reference_load_edge_list, text, sep, "bytes")
+        with mock.patch.object(graph_module, "_PACKED_FIELDS", 0):
+            got = parse_outcome(load_edge_list, text, sep, "bytes")
+        assert got == want
+
+    @staticmethod
+    def salts_of_first_byte_keys(text, packed_fields=graph_module._PACKED_FIELDS):
+        """Salts the parse of ``text`` tries when a label's key is its first byte."""
+        salts = []
+
+        def first_byte(words, starts, lengths, salt):
+            salts.append(salt)
+            return words[starts] & np.uint64(0xFF)
+
+        with mock.patch.object(graph_module, "_label_keys", first_byte), \
+                mock.patch.object(graph_module, "_PACKED_FIELDS", packed_fields):
+            g = load_edge_list(text)
+        assert g.labels == ("a", "b", "c", "d")
+        return set(salts)
+
+    def test_packed_keys_switch_to_full_keys_at_the_bound(self):
+        # keys that differ only in their low bits lose the difference once the
+        # field index is packed there, so the packed try fails and the next
+        # salt's full keys succeed; above the bound the first try has full keys
+        text = b"a,b\nc,d\nb,a\n"
+        assert self.salts_of_first_byte_keys(text) == {0, 1}
+        assert self.salts_of_first_byte_keys(text, 0) == {0}
+        assert self.salts_of_first_byte_keys(text, 6) == {0, 1}  # 6 fields
+        assert self.salts_of_first_byte_keys(text, 5) == {0}
+
+    def test_ordinary_labels_take_the_packed_keys_once(self):
+        salts = []
+        keys = graph_module._label_keys
+
+        def spy(words, starts, lengths, salt):
+            salts.append(salt)
+            return keys(words, starts, lengths, salt)
+
+        text = "".join(f"u{i},v{i % 997}\n" for i in range(20_000)).encode()
+        with mock.patch.object(graph_module, "_label_keys", spy), \
+                mock.patch.object(graph_module, "_BLOCK_BYTES", 1 << 16):
+            g = load_edge_list(text)
+        assert 40_000 <= graph_module._PACKED_FIELDS and len(salts) > 1 and set(salts) == {0}
+        assert graph_state(g) == graph_state(reference_load_edge_list(text))
+
     @pytest.mark.parametrize("d", list(Direction))
     def test_int64_positions_give_the_int32_incidence(self, d):
         rng = np.random.default_rng(7)
@@ -503,18 +551,24 @@ class TestFromEdgesProperties:
     def test_matches_row_sort_build(self, case, extra, give_count):
         n, pairs = case
         node_count = n + extra if give_count else None
-        g = DirectedGraph.from_edges(pairs, node_count=node_count)
-        arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        want_n = node_count if give_count else (int(arr.max()) + 1 if arr.size else 0)
-        assert g.node_count == want_n
-        got = (g._fwd_indptr, g._fwd_indices, g._rev_indptr, g._rev_indices)
-        for a, b in zip(got, reference_csr(arr, want_n)):
-            assert a.dtype == np.int64
-            np.testing.assert_array_equal(a, b)
-        loops = sum(u == v for u, v in pairs)
-        assert g.self_loops_dropped == loops
-        assert g.duplicates_collapsed == len(pairs) - loops - len({(u, v) for u, v in pairs if u != v})
-        assert g.edge_count == len({(u, v) for u, v in pairs if u != v})
+        # with and without self-loops, as a list and as int64 and int32 arrays
+        for kept in (pairs, [(u, v) for u, v in pairs if u != v]):
+            arr = np.array(kept, dtype=np.int64).reshape(-1, 2)
+            want_n = node_count if give_count else (int(arr.max()) + 1 if arr.size else 0)
+            for edges in (kept, arr, arr.astype(np.int32)):
+                given_edges = np.array(edges, copy=True)
+                g = DirectedGraph.from_edges(edges, node_count=node_count)
+                np.testing.assert_array_equal(edges, given_edges)  # the input is not written
+                assert g.node_count == want_n
+                got = (g._fwd_indptr, g._fwd_indices, g._rev_indptr, g._rev_indices)
+                for a, b in zip(got, reference_csr(arr, want_n)):
+                    assert a.dtype == np.int64
+                    np.testing.assert_array_equal(a, b)
+                loops = sum(u == v for u, v in kept)
+                edges_kept = len({(u, v) for u, v in kept if u != v})
+                assert g.self_loops_dropped == loops
+                assert g.duplicates_collapsed == len(kept) - loops - edges_kept
+                assert g.edge_count == edges_kept
 
 
 class TestEdgeListWriter:
