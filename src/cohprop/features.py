@@ -315,18 +315,23 @@ def _validate_epsilon(epsilon) -> float:
     return epsilon
 
 
-def _gate(g: DirectedGraph, table: np.ndarray, V: np.ndarray, direction: Direction, p: float):
+def _gate(g: DirectedGraph, table: np.ndarray, V: np.ndarray, direction: Direction, p: float,
+          cand=None):
     """The coherence gate: ``(cand, inc, centers, M)`` for the sorted featured set V.
 
-    ``table`` holds the features of V, row k for V[k]. ``cand`` is
-    ``g.neighborhood(V, direction)``, and ``M`` is its opposite-direction
-    incidence against V as CSR arrays ``(indices, indptr)``: row k holds
-    cand[k]'s back-connections into V, nonempty because cand[k] was reached
-    from V. Entry k of ``inc`` and ``centers`` is the incoherence and
-    centroid of that row. Callers apply their own rule to the result;
-    method B also walks back through M's rows.
+    ``table`` holds the features of V, row k for V[k]. ``cand`` is the
+    sorted node array gated, by default ``g.neighborhood(V, direction)``,
+    and ``M`` is its opposite-direction incidence against V as CSR arrays
+    ``(indices, indptr)``: row k holds cand[k]'s back-connections into V,
+    nonempty because cand[k] was reached from V. Entry k of ``inc`` and
+    ``centers`` is the incoherence and centroid of that row. M is against
+    the whole of V however few candidates are given, so a row has the same
+    members in the same order, and the same bits, in any subset of the
+    default ``cand``. Callers apply their own rule to the result; method B
+    also walks back through M's rows.
     """
-    cand = g.neighborhood(V, direction)
+    if cand is None:
+        cand = g.neighborhood(V, direction)
     M = incidence(g, cand, V, direction.opposite)
     inc, centers = _group_stats(table, *M, p)
     return cand, inc, centers, M

@@ -6,6 +6,14 @@ neighbors whose back-connections into the featured set are coherent, and
 estimates each accepted node as the plain mean of the features of its
 back-connections. Incoherent neighbors are blacklisted permanently so a
 node can never become coherent later through freshly propagated features.
+
+So every fresh neighbor of a step is either added or blacklisted in it,
+and the fresh neighbors of the next step all lie in the neighborhood of
+this step's additions. A method-A step therefore gates only the fresh
+neighbors of the last step's additions (the *frontier*), each against the
+whole featured set; a state with no frontier (the first step, a hand-built
+state, or one after a method-B step) gates the fresh neighbors of the
+whole featured set. Either way the step's result is the full gate's.
 """
 from __future__ import annotations
 
@@ -46,6 +54,13 @@ class PropagationState:
 
     Both sets only ever grow, by additions disjoint from everything seen
     before; they never intersect.
+
+    ``frontier`` holds the additions of the method-A step that made this
+    state, sorted and a subset of ``featured``; the next method-A step
+    gates only their fresh neighbors. It is None after ``init_state``, in a
+    hand-built state and after a method-B step, which leaves failed
+    candidates fresh; a method-A step from such a state gates the fresh
+    neighbors of the whole featured set.
     """
 
     featured: np.ndarray
@@ -54,6 +69,7 @@ class PropagationState:
     direction: Direction
     epsilon: float
     history: tuple[StepRecord, ...] = ()
+    frontier: Optional[np.ndarray] = None
 
     def check_invariants(self) -> None:
         f, x = self.featured, self.excluded
@@ -63,6 +79,11 @@ class PropagationState:
             raise AssertionError("excluded set must be sorted unique")
         if x.size and node_mask(f, int(max(f[-1], x[-1])) + 1)[x].any():
             raise AssertionError("featured and excluded sets must be disjoint")
+        a = self.frontier
+        if a is not None and not (a.size == 0 or np.all(np.diff(a) > 0)):
+            raise AssertionError("frontier must be sorted unique")
+        if a is not None and not np.isin(a, f, assume_unique=True).all():
+            raise AssertionError("frontier must be a subset of the featured set")
 
 
 @dataclass(frozen=True)
@@ -105,6 +126,7 @@ def _advance(
     added: np.ndarray,
     excluded: np.ndarray,
     pivots: Optional[int] = None,
+    frontier: Optional[np.ndarray] = None,
 ) -> PropagationState:
     record = StepRecord(state.step, int(added.size), int(excluded.size), pivots)
     return replace(
@@ -113,6 +135,7 @@ def _advance(
         excluded=as_node_array(np.concatenate((state.excluded, excluded))),
         step=state.step + 1,
         history=state.history + (record,),
+        frontier=frontier,
     )
 
 
@@ -126,8 +149,9 @@ class _Gate:
     holds the positions in ``state.featured`` of cand[k]'s back-connections.
     Method B walks back from its pivots through their rows of M.
     ``featured`` and ``excluded`` are node masks of the state's sets;
-    ``fresh[k]`` is true when cand[k] is in neither. A first-step protocol
-    opens one gate per seed and applies its whole threshold grid to it.
+    ``fresh[k]`` is true when cand[k] is in neither, which holds for every
+    row of a frontier gate. A first-step protocol opens one gate per seed
+    and applies its whole threshold grid to it.
     """
 
     g: DirectedGraph
@@ -143,11 +167,33 @@ class _Gate:
     fresh: np.ndarray
 
 
-def _open_gate(state: PropagationState, g: DirectedGraph, table: np.ndarray, p: float) -> _Gate:
-    """Gate the neighbours of ``state.featured``, whose features ``table`` holds."""
-    cand, inc, centers, M = _gate(g, table, state.featured, state.direction, p)
-    featured = node_mask(state.featured, g.node_count)
-    excluded = node_mask(state.excluded, g.node_count)
+def _open_gate(state: PropagationState, g: DirectedGraph, table: np.ndarray, p: float,
+               frontier: bool = False) -> _Gate:
+    """Gate the neighbours of ``state.featured``, whose features ``table`` holds.
+
+    With ``frontier`` only the fresh neighbours of ``state.frontier`` are
+    gated, or of the whole featured set when the state has none (see
+    :class:`PropagationState`), each still against the whole featured set.
+    Either way a node id outside the graph raises ``UnknownNodeError``
+    before a node mask is built.
+    """
+    V, d = state.featured, state.direction
+    if frontier:
+        if state.frontier is None:
+            reached = g.neighborhood(V, d)
+        else:
+            # the ends of the sorted set bound it: an id outside the graph raises
+            # UnknownNodeError here, as the full gate's neighbourhood does
+            as_node_array(V[[0, -1]], g.node_count)
+            reached = g.neighborhood(state.frontier, d)
+        featured = node_mask(V, g.node_count)
+        excluded = node_mask(state.excluded, g.node_count)
+        cand = reached[~(featured[reached] | excluded[reached])]
+        cand, inc, centers, M = _gate(g, table, V, d, p, cand)
+    else:
+        cand, inc, centers, M = _gate(g, table, V, d, p)
+        featured = node_mask(V, g.node_count)
+        excluded = node_mask(state.excluded, g.node_count)
     return _Gate(g, p, state, table, cand, inc, centers, M, featured, excluded,
                  ~(featured[cand] | excluded[cand]))
 
@@ -198,27 +244,38 @@ def step_method_a(
 ):
     """One propagation step; returns (added, excluded, new_state).
 
-    Candidates are the neighbors of the featured set. A fresh candidate
-    (not yet featured or excluded) is accepted when the incoherence of its
+    Candidates are the fresh neighbors (not yet featured or excluded) of
+    the featured set. One is accepted when the incoherence of its
     back-connections into the featured set is within the threshold, and its
     estimate is the mean of those back-connections' stored features; all
-    other fresh candidates are blacklisted. Estimates are committed to the
+    other candidates are blacklisted. Estimates are committed to the
     store tagged with the current step, and a fixed point shows up as two
     empty deltas.
+
+    Only the fresh neighbors of ``state.frontier``, the last method-A
+    step's additions, are gated, since every other neighbor was settled
+    before; with no frontier, those of the whole featured set are. The new
+    state's frontier is this step's additions.
     """
-    return _step(_accept_a, state, g, store, p)
+    return _step(_accept_a, state, g, store, p, frontier=True)
 
 
-def _step(rule, state: PropagationState, g: DirectedGraph, store: FeatureStore, p, **options):
+def _step(rule, state: PropagationState, g: DirectedGraph, store: FeatureStore, p,
+          frontier: bool = False, **options):
     """One step of the method whose threshold rule is ``rule``: (added, excluded, new_state).
 
-    The featured set's features are gathered once, for the gate and the estimates.
+    The featured set's features are gathered once, for the gate and the
+    estimates. With ``frontier`` the gate holds only the fresh neighbors of
+    ``state.frontier`` (of the whole featured set when it is None), and the
+    new state's frontier is the step's additions; without it, every
+    neighbor of the featured set is gated and the new state has no frontier.
     """
     p = validate_norm_order(p)
-    gate = _open_gate(state, g, store.features_of(state.featured), p)
+    gate = _open_gate(state, g, store.features_of(state.featured), p, frontier)
     added, rejected, pivots, _, estimates = next(rule(gate, [state.epsilon], **options))
     store.set_estimated_many(added, estimates, state.step)
-    return added, rejected, _advance(state, added, rejected, pivots)
+    return added, rejected, _advance(state, added, rejected, pivots,
+                                     added.copy() if frontier else None)
 
 
 def _run(step, store: FeatureStore, seed, direction: Direction, epsilon,

@@ -19,7 +19,7 @@ from cohprop.graph import (
     as_node_array,
     node_mask,
 )
-from cohprop.method_a import init_state, step_method_a
+from cohprop.method_a import _accept_a, _advance, _open_gate, init_state, step_method_a
 from cohprop.method_b import step_method_b
 
 
@@ -246,6 +246,20 @@ def naive_step_method_a(sg, features, featured, excluded, direction, epsilon, p)
         else:
             rejected.add(u)
     return added, rejected, estimates
+
+
+def reference_step_method_a(state, g, store, p=2.0):
+    """Method A's step with the full gate: (added, excluded, new_state), as ``step_method_a``.
+
+    Every neighbor of the featured set is gated, already settled ones too,
+    and the new state has no frontier. This is the step before frontier
+    steps, kept as their reference: the two must agree bit for bit.
+    """
+    p = validate_norm_order(p)
+    gate = _open_gate(state, g, store.features_of(state.featured), p)
+    added, rejected, _, _, estimates = next(_accept_a(gate, [state.epsilon]))
+    store.set_estimated_many(added, estimates, state.step)
+    return added, rejected, _advance(state, added, rejected)
 
 
 def naive_step_method_b(sg, features, featured, excluded, direction, epsilon, p,

@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cohprop
+from cohprop.evaluation import kfold_eval_method_b, sweep_method_a
 from cohprop.features import FeatureStore
-from cohprop.graph import DirectedGraph, Direction
+from cohprop.graph import DirectedGraph, Direction, UnknownNodeError, as_node_array
 from cohprop.method_a import init_state, run_method_a, step_method_a
+from cohprop.method_b import compute_pivots, step_method_b
 from conftest import store_from
 from oracles import naive_centroid, naive_neighbors, random_graph
 
@@ -184,3 +193,65 @@ class TestProperties:
             assert reach0 <= settled
             added1, _, _ = step_method_a(state, g, store)
             assert not (set(added1.tolist()) & reach0)
+
+
+def outside_seed():
+    """Fan-in graph 0, 1 -> 2 -> 3, and a store whose seeds 0, 1 and 4 are known; 4 is no node."""
+    g = DirectedGraph.from_edges([(0, 2), (1, 2), (2, 3)], node_count=4)
+    store = FeatureStore(1)
+    store.set_known_many([0, 1, 4], [[0.0], [0.2], [0.1]])
+    return g, store
+
+
+def frontier_state(g, store, frontier):
+    """The state after one step from seeds 0 and 1, with seed 4 put back in its featured set."""
+    _, _, state = step_method_a(init_state(store, [0, 1], Direction.UP, 0.5), g, store)
+    assert state.frontier.tolist() == [2]
+    return replace(state, featured=as_node_array([0, 1, 2, 4]), frontier=as_node_array(frontier))
+
+
+class TestFrontier:
+    @pytest.mark.parametrize("call", [
+        lambda g, s: step_method_a(init_state(s, [0, 1, 4], Direction.UP, 0.5), g, s),
+        lambda g, s: run_method_a(g, s, [0, 1, 4], Direction.UP, 0.5, max_steps=3),
+        lambda g, s: step_method_a(frontier_state(g, s, [2, 4]), g, s),
+        lambda g, s: step_method_a(frontier_state(g, s, [2]), g, s),
+        lambda g, s: step_method_b(init_state(s, [0, 1, 4], Direction.UP, 0.5), g, s),
+        lambda g, s: compute_pivots(init_state(s, [0, 1, 4], Direction.UP, 0.5), g, s),
+        lambda g, s: sweep_method_a(g, s, [0, 1, 4], Direction.UP, [0.1, 0.5]),
+        lambda g, s: kfold_eval_method_b(g, s, [0, 1, 4], 2, Direction.UP, [0.5], seed=0),
+    ], ids=["step-a", "run-a", "frontier-step-a", "frontier-step-a-featured",
+            "step-b", "compute-pivots", "sweep-a", "kfold-b"])
+    def test_seed_outside_the_graph_is_an_unknown_node(self, call):
+        # the graph's own check, not an IndexError from a node mask built first
+        g, store = outside_seed()
+        with pytest.raises(UnknownNodeError):
+            call(g, store)
+
+    @pytest.mark.parametrize("frontier, message", [
+        ([2, 1], "sorted unique"),
+        ([1, 1], "sorted unique"),
+        ([3], "subset of the featured set"),
+    ])
+    def test_bad_frontier_fails_invariants(self, frontier, message):
+        state = init_state(store_from([[0.0], [0.1], [0.2]]), [0, 1, 2], Direction.UP, 0.1)
+        state.check_invariants()
+        replace(state, frontier=np.array([], dtype=np.int64)).check_invariants()
+        with pytest.raises(AssertionError, match=message):
+            replace(state, frontier=np.array(frontier, dtype=np.int64)).check_invariants()
+
+    def test_bad_frontier_fails_invariants_under_optimize(self):
+        # the check raises, so python -O cannot strip it
+        code = (
+            "import numpy as np; from dataclasses import replace;"
+            "from cohprop.features import FeatureStore;"
+            "from cohprop.graph import Direction; from cohprop.method_a import init_state;"
+            "s = FeatureStore(1); s.set_known_many([0, 1], [[0.0], [0.1]]);"
+            "state = init_state(s, [0, 1], Direction.UP, 0.1);"
+            "replace(state, frontier=np.array([0, 2])).check_invariants()"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cohprop.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1
+        assert "AssertionError: frontier must be a subset of the featured set" in out.stderr

@@ -10,7 +10,14 @@ nodes feed the later steps. One fixed case checks that identical
 co-neighbors give back their common vector, which keeps their pivot
 coherent at threshold 0 in the next step; so do random instances where
 every node has the same vector.
+
+Method A's frontier steps also run to the fixed point against the full-gate
+step they replace, alone, alternating with method-B steps, and from states
+whose frontier was dropped; every step's deltas, the store's bytes and the
+history must be equal.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,7 +27,7 @@ from cohprop.features import FeatureStore
 from cohprop.graph import DirectedGraph, Direction
 from cohprop.method_a import init_state, step_method_a
 from cohprop.method_b import step_method_b
-from oracles import SetGraph, naive_step_method_a, naive_step_method_b
+from oracles import SetGraph, naive_step_method_a, naive_step_method_b, reference_step_method_a
 
 STEPS = 3
 
@@ -115,3 +122,71 @@ def test_method_b_identical_estimate_at_zero_threshold(candidate_test):
     feats = np.full((5, 1), 0.1)
     check_built_steps(g, SetGraph(edges, 5), feats, np.arange(3), Direction.UP, 0.0, 2.0,
                       step_method_b, naive_step_method_b, candidate_test=candidate_test)
+
+
+def store_bytes(store):
+    nodes = store.nodes()
+    return nodes.tobytes(), store.features_of(nodes).tobytes(), store.steps_of(nodes).tobytes()
+
+
+def check_against_full_gate(inst, schedule, candidate_test="pivot-features", drop_at=None):
+    """Run ``schedule`` ("a"/"b" steps, cycled) to the fixed point with frontier and full-gate A.
+
+    At step ``drop_at`` the frontier side's state loses its frontier first.
+    """
+    g, _, feats, seed = build(inst)
+    sides = []
+    for step_a in (step_method_a, reference_step_method_a):
+        store = FeatureStore(feats.shape[1])
+        store.set_known_many(seed, feats[seed])
+        sides.append((step_a, store, init_state(store, seed, inst["direction"], inst["epsilon"])))
+    quiet = 0
+    # every step that changes something settles a node, so the run ends within
+    # node_count changing cycles of the schedule
+    for k in range((g.node_count + 2) * len(schedule)):
+        method = schedule[k % len(schedule)]
+        deltas = []
+        for i, (step_a, store, state) in enumerate(sides):
+            if k == drop_at and step_a is step_method_a:
+                state = replace(state, frontier=None)
+            if method == "a":
+                added, rejected, state = step_a(state, g, store, p=inst["p"])
+            else:
+                added, rejected, state = step_method_b(state, g, store, p=inst["p"],
+                                                       candidate_test=candidate_test)
+            state.check_invariants()
+            sides[i] = (step_a, store, state)
+            deltas.append((added, rejected, state))
+        (added, rejected, state), (want_added, want_rejected, want) = deltas
+        assert added.tobytes() == want_added.tobytes()
+        assert rejected.tobytes() == want_rejected.tobytes()
+        assert store_bytes(sides[0][1]) == store_bytes(sides[1][1])
+        assert state.history == want.history
+        assert state.featured.tobytes() == want.featured.tobytes()
+        assert state.excluded.tobytes() == want.excluded.tobytes()
+        assert want.frontier is None
+        if method == "a":
+            assert state.frontier.tobytes() == added.tobytes()
+        else:
+            assert state.frontier is None
+        quiet = 0 if (added.size or rejected.size) else quiet + 1
+        if quiet == len(schedule):
+            return
+    raise AssertionError("no fixed point")
+
+
+@given(instances)
+def test_method_a_frontier_run_matches_full_gate(inst):
+    check_against_full_gate(inst, "a")
+
+
+@given(instances, st.sampled_from(["pivot-features", "co-neighbors"]), st.sampled_from(["ba", "ab"]))
+def test_method_a_frontier_after_method_b_matches_full_gate(inst, candidate_test, schedule):
+    # a method-B step leaves failed candidates fresh outside its additions'
+    # neighborhood, so the method-A step after it must gate the whole featured set
+    check_against_full_gate(inst, schedule, candidate_test)
+
+
+@given(instances, st.integers(1, 4))
+def test_method_a_without_frontier_matches_full_gate(inst, drop_at):
+    check_against_full_gate(inst, "a", drop_at=drop_at)

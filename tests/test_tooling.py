@@ -9,7 +9,8 @@ import numpy as np
 import cohprop
 from cohprop import features, graph
 from cohprop.features import FeatureStore, write_features_csv
-from cohprop.graph import DirectedGraph, load_edge_list
+from cohprop.graph import DirectedGraph, Direction, load_edge_list
+from cohprop.method_a import init_state, step_method_a
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -271,3 +272,31 @@ def test_feature_store_makes_no_python_calls_per_node():
 
     small, large = calls(1_000), calls(40_000)
     assert all(b <= a + 5 for a, b in zip(small, large)), (small, large)
+
+
+def test_method_a_second_step_gates_only_fresh_neighbours_of_the_additions(monkeypatch):
+    # a frontier step measures N(added at step 0) minus the featured and
+    # excluded sets, not the whole neighbourhood of the featured set
+    rng = np.random.default_rng(7)
+    n = 60
+    g = DirectedGraph.from_edges(rng.integers(0, n, size=(240, 2)), node_count=n)
+    store = FeatureStore(2)
+    seed = np.arange(8)
+    store.set_known_many(seed, rng.normal(size=(seed.size, 2)))
+    state = init_state(store, seed, Direction.UP, 1.5)
+    added, _, state = step_method_a(state, g, store)
+    reached = g.neighborhood(added, Direction.UP)
+    fresh = np.setdiff1d(reached, np.union1d(state.featured, state.excluded))
+    full = g.neighborhood(state.featured, Direction.UP).size
+    assert 0 < fresh.size < full
+
+    rows = []
+    group_stats = features._group_stats
+
+    def counted(table, indices, indptr, p=None):
+        rows.append(indptr.size - 1)
+        return group_stats(table, indices, indptr, p)
+
+    monkeypatch.setattr(features, "_group_stats", counted)
+    step_method_a(state, g, store)
+    assert rows == [fresh.size], (rows, fresh.size, full)
