@@ -15,8 +15,11 @@ The metric layer provides the distance between an estimate and a reference
 vector, set centroids, set incoherence (root mean squared p-norm distance
 to the centroid), and coherence-gated neighborhoods. The coherence gate is
 one private function, ``_gate``, shared by :func:`coherent_neighborhood`
-and by methods A and B: it measures every neighbor of a featured set on
-its row of :func:`cohprop.graph.incidence` against that set.
+and by methods A and B: it measures every neighbor of a featured set, or
+those in a candidate mask, on its back-connections into that set. One call
+of :func:`cohprop.graph.linked` finds those neighbors and their rows
+together, from the featured set's own lists (push) or from the masked
+nodes' back-lists (pull), whichever holds fewer entries.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graph import DirectedGraph, Direction, UnknownNodeError, as_node_array, incidence
+from .graph import DirectedGraph, Direction, UnknownNodeError, as_node_array, linked
 from .graph import grouped_restricted_neighbors  # noqa: F401  (perfbench/spans.py wraps it here)
 
 __all__ = [
@@ -316,23 +319,25 @@ def _validate_epsilon(epsilon) -> float:
 
 
 def _gate(g: DirectedGraph, table: np.ndarray, V: np.ndarray, direction: Direction, p: float,
-          cand=None):
+          keep=None):
     """The coherence gate: ``(cand, inc, centers, M)`` for the sorted featured set V.
 
-    ``table`` holds the features of V, row k for V[k]. ``cand`` is the
-    sorted node array gated, by default ``g.neighborhood(V, direction)``,
-    and ``M`` is its opposite-direction incidence against V as CSR arrays
-    ``(indices, indptr)``: row k holds cand[k]'s back-connections into V,
-    nonempty because cand[k] was reached from V. Entry k of ``inc`` and
-    ``centers`` is the incoherence and centroid of that row. M is against
-    the whole of V however few candidates are given, so a row has the same
-    members in the same order, and the same bits, in any subset of the
-    default ``cand``. Callers apply their own rule to the result; method B
-    also walks back through M's rows.
+    ``table`` holds the features of V, row k for V[k]. ``cand`` are the
+    nodes of the node mask ``keep`` (by default every node) reached from V
+    in ``direction``, sorted, and ``M`` is their opposite-direction
+    incidence against V as CSR arrays ``(indices, indptr)``: row k holds
+    cand[k]'s back-connections into V, nonempty because cand[k] was reached
+    from V. Both come from one :func:`cohprop.graph.linked` call, which
+    gathers V's lists (push) or the masked nodes' back-lists (pull),
+    whichever side has fewer entries. Entry k of ``inc`` and ``centers`` is
+    the incoherence and centroid of that row. M is against the whole of V
+    whatever the mask, so a row has the same members in the same order,
+    and the same bits, under any mask that keeps it. Callers apply their
+    own rule to the result; method B also walks back through M's rows.
     """
-    if cand is None:
-        cand = g.neighborhood(V, direction)
-    M = incidence(g, cand, V, direction.opposite)
+    if keep is None:
+        keep = np.ones(g.node_count, dtype=bool)
+    cand, M = linked(g, keep, V, direction.opposite)
     inc, centers = _group_stats(table, *M, p)
     return cand, inc, centers, M
 

@@ -5,6 +5,14 @@ stores a forward and a reverse CSR index so that followee and follower
 queries are both O(degree), with neighbor lists sorted by node id so that
 set intersections run as linear merges. Graphs are read-only after
 construction and safe for concurrent readers.
+
+:func:`incidence` gives a row set's CSR incidence against a sorted column
+set. :func:`linked` gives the nonempty rows of that incidence for the rows
+of a node mask, from one gather on whichever side has fewer entries: the
+rows' own lists (pull), or the columns' opposite-direction lists turned
+round by one sort (push), as in the push/pull choice of direction-optimizing
+BFS. Both entry counts are sums over an index pointer, so the choice costs
+no gather; a tie pulls.
 """
 from __future__ import annotations
 
@@ -37,6 +45,10 @@ _NARROW_POSITIONS = 2**31
 # A shared key costs a second, full-key pass; the paper's ~100M fields and
 # 6.5M labels would expect about 150 such pairs, so they go to full keys.
 _PACKED_FIELDS = 2**24
+# linked's push side sorts keys node << bits | position, with just enough
+# bits for a position among the columns; while node_count << bits is below
+# this bound they fit in int64, and from there on it pulls
+_PUSH_KEYS = 2**63
 
 __all__ = [
     "Direction",
@@ -47,6 +59,7 @@ __all__ = [
     "as_node_array",
     "node_mask",
     "incidence",
+    "linked",
 ]
 
 
@@ -352,17 +365,90 @@ def incidence(
     rows[k] of that direction's CSR, keeping only the ``cols`` columns.
     Rows may repeat.
     """
-    if cols.size and (cols[0] < 0 or cols[-1] >= g.node_count):
-        bad = cols[0] if cols[0] < 0 else cols[-1]
-        raise UnknownNodeError(f"node id {bad} outside 0..{g.node_count - 1}")
+    _check_ends(g, cols)
     flat, bounds = g._gather(np.asarray(rows, dtype=np.int64), direction)
     # one position map is both the membership test (-1: not a column) and the
     # column index; int32 keeps its copy of a hub-sized gather at half size
-    pos = np.full(g.node_count, -1,
-                  dtype=np.int32 if cols.size < _NARROW_POSITIONS else np.int64)
+    pos = np.full(g.node_count, -1, dtype=_position_type(cols.size))
     pos[cols] = np.arange(cols.size)
     col = pos[flat]
     return _restrict(col, bounds, col >= 0)
+
+
+def _check_ends(g: DirectedGraph, nodes: np.ndarray) -> None:
+    """Raise ``UnknownNodeError`` unless the ends of the sorted array ``nodes`` are nodes of g."""
+    if nodes.size and (nodes[0] < 0 or nodes[-1] >= g.node_count):
+        bad = nodes[0] if nodes[0] < 0 else nodes[-1]
+        raise UnknownNodeError(f"node id {bad} outside 0..{g.node_count - 1}")
+
+
+def _position_type(n_cols: int):
+    """The dtype of column positions: int32 below ``_NARROW_POSITIONS`` columns."""
+    return np.int32 if n_cols < _NARROW_POSITIONS else np.int64
+
+
+def _position_bits(n_cols: int) -> int:
+    """The bits that hold a position among ``n_cols`` columns."""
+    return max(n_cols - 1, 0).bit_length()
+
+
+def linked(
+    g: DirectedGraph, rows: np.ndarray, cols: np.ndarray, direction: Direction
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The nonempty rows of ``incidence(g, np.flatnonzero(rows), cols, direction)``.
+
+    ``rows`` is a node mask and ``cols`` a sorted unique node array. Returns
+    ``(nodes, (indices, indptr))``: ``nodes`` are the masked nodes with a
+    neighbor in ``cols`` in ``direction``, in increasing order, and row k of
+    the CSR arrays is nodes[k]'s incidence row, the same arrays bit for bit.
+    They come from one gather, on the side with fewer entries: the masked
+    rows' lists (:func:`_pull`) or the columns' opposite-direction lists
+    (:func:`_push`). A tie pulls, and so does a column set too wide for
+    push's keys. The inputs are not written.
+    """
+    _check_ends(g, cols)
+    up = direction is Direction.UP
+    own, back = (g._fwd_indptr, g._rev_indptr) if up else (g._rev_indptr, g._fwd_indptr)
+    pull = int(np.diff(own) @ rows)  # a product, not a masked sum: several times faster
+    push = int(np.diff(back)[cols].sum())
+    if push < pull and g.node_count << _position_bits(cols.size) < _PUSH_KEYS:
+        return _push(g, rows, cols, direction)
+    return _pull(g, rows, cols, direction)
+
+
+def _pull(g: DirectedGraph, rows: np.ndarray, cols: np.ndarray, direction: Direction):
+    """:func:`linked` from the masked rows' own lists: ``incidence`` less its empty rows."""
+    nodes = np.flatnonzero(rows)
+    indices, indptr = incidence(g, nodes, cols, direction)
+    full = indptr[1:] > indptr[:-1]
+    return nodes[full], (indices, np.concatenate(([0], indptr[1:][full])))
+
+
+def _push(g: DirectedGraph, rows: np.ndarray, cols: np.ndarray, direction: Direction):
+    """:func:`linked` from the columns' opposite-direction lists, restricted to the mask.
+
+    Entry (node, position) becomes the key ``node << bits | position``; one
+    in-place sort puts the keys in row order, positions increasing, and a
+    mask and a shift split them (a shift, not a division: several times
+    faster). The graph holds no duplicate edge, so the keys are unique and
+    the result does not depend on the sort's algorithm.
+    """
+    m, bits = cols.size, _position_bits(cols.size)
+    flat, bounds = g._gather(cols, direction.opposite)
+    keep = rows[flat]
+    flat <<= bits
+    flat |= np.repeat(np.arange(m), np.diff(bounds))
+    keys = flat[keep]
+    del flat, keep
+    keys.sort()
+    positions = np.empty(keys.size, dtype=_position_type(m))
+    np.bitwise_and(keys, (1 << bits) - 1, out=positions)
+    keys >>= bits  # each entry's node
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return keys[starts], (positions, np.append(starts, keys.size))
 
 
 # str.strip() drops the characters for which str.isspace() holds. In UTF-8

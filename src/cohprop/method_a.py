@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .features import KNOWN, FeatureStore, _gate, validate_norm_order, _validate_epsilon
-from .graph import DirectedGraph, Direction, as_node_array, node_mask
+from .graph import DirectedGraph, Direction, _check_ends, as_node_array, node_mask
 from .graph import grouped_restricted_neighbors  # noqa: F401  (perfbench/spans.py wraps it here)
 
 __all__ = [
@@ -146,7 +146,8 @@ class _Gate:
     ``table`` holds the features of ``state.featured`` in its order, and
     ``cand``, ``inc``, ``centers`` and ``M`` are what ``features._gate``
     returns for it on ``g`` at norm order ``p``: M is CSR arrays whose row k
-    holds the positions in ``state.featured`` of cand[k]'s back-connections.
+    holds the positions in ``state.featured`` of cand[k]'s back-connections,
+    built with cand by one gather on the side with fewer entries.
     Method B walks back from its pivots through their rows of M.
     ``featured`` and ``excluded`` are node masks of the state's sets;
     ``fresh[k]`` is true when cand[k] is in neither, which holds for every
@@ -174,26 +175,24 @@ def _open_gate(state: PropagationState, g: DirectedGraph, table: np.ndarray, p: 
     With ``frontier`` only the fresh neighbours of ``state.frontier`` are
     gated, or of the whole featured set when the state has none (see
     :class:`PropagationState`), each still against the whole featured set.
-    Either way a node id outside the graph raises ``UnknownNodeError``
-    before a node mask is built.
+    The gate's candidate mask is then the fresh nodes, cut to the mask of
+    ``N(state.frontier)`` when there is a frontier; ``features._gate``
+    reads the candidates and their rows from one gather on whichever side
+    has fewer entries. So a first step gathers once, and a frontier step,
+    whose candidates are few, usually reads their own back-lists (pull). A
+    node id outside the graph raises ``UnknownNodeError`` before a node
+    mask is built.
     """
-    V, d = state.featured, state.direction
+    V, d, n = state.featured, state.direction, g.node_count
+    _check_ends(g, V)  # the ends of the sorted set bound it
+    featured = node_mask(V, n)
+    excluded = node_mask(state.excluded, n)
+    keep = None
     if frontier:
-        if state.frontier is None:
-            reached = g.neighborhood(V, d)
-        else:
-            # the ends of the sorted set bound it: an id outside the graph raises
-            # UnknownNodeError here, as the full gate's neighbourhood does
-            as_node_array(V[[0, -1]], g.node_count)
-            reached = g.neighborhood(state.frontier, d)
-        featured = node_mask(V, g.node_count)
-        excluded = node_mask(state.excluded, g.node_count)
-        cand = reached[~(featured[reached] | excluded[reached])]
-        cand, inc, centers, M = _gate(g, table, V, d, p, cand)
-    else:
-        cand, inc, centers, M = _gate(g, table, V, d, p)
-        featured = node_mask(V, g.node_count)
-        excluded = node_mask(state.excluded, g.node_count)
+        keep = ~(featured | excluded)
+        if state.frontier is not None:
+            keep &= node_mask(g.neighborhood(state.frontier, d), n)
+    cand, inc, centers, M = _gate(g, table, V, d, p, keep)
     return _Gate(g, p, state, table, cand, inc, centers, M, featured, excluded,
                  ~(featured[cand] | excluded[cand]))
 

@@ -22,6 +22,13 @@ grid's largest threshold, and walks back through the gate's own
 back-incidence; a smaller threshold cuts that incidence to its own pivots
 and candidates. The walk back is :func:`_co_neighbor_sets`, which
 :func:`co_neighbors` runs too.
+
+Each of the step's two incidences, the gate's back-connections and the
+walk back's candidate x pivot C, comes from one
+:func:`cohprop.graph.linked` call: one gather, from the side with fewer
+entries. The gate pushes from the featured set's lists or pulls every
+node's back-list; C pushes from the pivots' back-lists or pulls the lists
+of every node that is not blocked.
 """
 from __future__ import annotations
 
@@ -32,7 +39,8 @@ import numpy as np
 from scipy import sparse
 
 from .features import FeatureStore, _group_stats, _validate_epsilon, validate_norm_order
-from .graph import DirectedGraph, Direction, _restrict, _take_rows, as_node_array, incidence
+from .graph import (DirectedGraph, Direction, _restrict, _take_rows, as_node_array, incidence,
+                    linked)
 from .graph import grouped_restricted_neighbors  # noqa: F401  (perfbench/spans.py wraps it here)
 from .method_a import (PropagationResult, PropagationState, _blacklist, _Gate, _open_gate,
                        _Outcome, _run, _step)
@@ -154,6 +162,12 @@ def _accept_b(gate: _Gate, grid: Sequence[float], scored: Optional[np.ndarray] =
     fresh candidate has a pivot (it was reached through one), and every
     pivot has a featured back-connection (it passed the gate on one), so
     every group measured is nonempty.
+
+    C's rows are the nonempty rows of the incidence, against the top
+    pivots, of every node that is neither featured, excluded nor
+    blacklisted at this step: one :func:`cohprop.graph.linked` call, which
+    gathers the pivots' back-lists (push) or those nodes' lists (pull),
+    whichever side has fewer entries.
     """
     if candidate_test not in CANDIDATE_TESTS:
         raise ValueError(f"candidate_test must be one of {CANDIDATE_TESTS}")
@@ -164,11 +178,9 @@ def _accept_b(gate: _Gate, grid: Sequence[float], scored: Optional[np.ndarray] =
     g, d, cand, inc = gate.g, gate.state.direction, gate.cand, gate.inc
     M = _csr(*gate.M, len(gate.table))  # one SciPy operand for every threshold
     rows, rejected = _split_pivots(gate, top)
-    blocked = gate.featured | gate.excluded
-    blocked[rejected] = True  # same-step pivot failures cannot be featured
-    reach = g.neighborhood(cand[rows], d.opposite)
-    fresh = reach[~blocked[reach]]
-    indices, indptr = incidence(g, fresh, cand[rows], d)
+    free = ~(gate.featured | gate.excluded)
+    free[rejected] = False  # same-step pivot failures cannot be featured
+    fresh, (indices, indptr) = linked(g, free, cand[rows], d)
     indices = rows[indices]  # columns: gate rows of the pivots
     if min(grid) < top:  # only a threshold with fewer pivots than the top one cuts C
         # the threshold from which each entry takes part: its pivot must be one,

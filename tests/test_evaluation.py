@@ -437,13 +437,17 @@ class TestGridRuleMatchesSingleThresholds:
 
 
 def count_incidence_builds(monkeypatch):
-    """Count ``graph.incidence`` calls where the gate and method B look it up."""
+    """Count ``incidence`` and ``linked`` calls made through ``features`` and ``method_b``."""
     calls = []
     for module in (cohprop.features, cohprop.method_b):
-        def counted(*args, _build=module.incidence, **kwargs):
-            calls.append(args[0])
-            return _build(*args, **kwargs)
-        monkeypatch.setattr(module, "incidence", counted)
+        for name in ("incidence", "linked"):
+            if not hasattr(module, name):
+                continue
+
+            def counted(*args, _build=getattr(module, name), **kwargs):
+                calls.append(args[0])
+                return _build(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 

@@ -4,6 +4,7 @@ import os
 import sys
 import tempfile
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -321,6 +322,34 @@ class TestWidthSwitches:
         assert narrow[0].dtype == np.int32 and wide[0].dtype == np.int64
         assert narrow[0].tolist() == wide[0].tolist() and narrow[1].tolist() == wide[1].tolist()
 
+    @pytest.mark.parametrize("d", list(Direction))
+    def test_int64_positions_give_the_int32_pushed_rows(self, d):
+        rng = np.random.default_rng(7)
+        g, _ = random_graph(rng, 40, 200)
+        mask = rng.random(40) < 0.5
+        cols = np.flatnonzero(rng.random(40) < 0.5)
+        narrow = graph_module._push(g, mask, cols, d)
+        with mock.patch.object(graph_module, "_NARROW_POSITIONS", 0):
+            wide = graph_module._push(g, mask, cols, d)
+        assert narrow[1][0].dtype == np.int32 and wide[1][0].dtype == np.int64
+        assert narrow[1][0].tolist() == wide[1][0].tolist()
+        assert narrow[0].tobytes() == wide[0].tobytes()
+        assert narrow[1][1].tobytes() == wide[1][1].tobytes()
+
+    @pytest.mark.parametrize("d", list(Direction))
+    def test_wide_push_keys_pull(self, d):
+        # one column against every node: push holds a column's list, pull
+        # the whole graph, so push runs until its keys may not fit in int64
+        rng = np.random.default_rng(7)
+        g, _ = random_graph(rng, 40, 200)
+        mask, cols = np.ones(40, dtype=bool), np.array([3])
+        with sides_taken() as taken:
+            pushed = graph_module.linked(g, mask, cols, d)
+            with mock.patch.object(graph_module, "_PUSH_KEYS", 0):
+                pulled = graph_module.linked(g, mask, cols, d)
+        assert taken == ["_push", "_pull"]
+        assert same_arrays(pulled, pushed)
+
 
 class TestLabelInterning:
     @staticmethod
@@ -610,3 +639,91 @@ class TestIncidenceProperties:
         for k, v in enumerate(rows.tolist()):
             want = sorted(position[u] for u in naive_neighbors(edges, v, d) if u in position)
             assert indices[indptr[k]:indptr[k + 1]].tolist() == want
+
+
+def linked_case(seed, n, share, mask_kind, col_kind):
+    """A graph with edges among nodes 0..n-1 and two isolated nodes, a node mask and columns."""
+    rng = np.random.default_rng(seed)
+    _, edges = random_graph(rng, n, int(share * n * (n - 1)))
+    g = DirectedGraph.from_edges(np.array(edges, dtype=np.int64).reshape(-1, 2), node_count=n + 2)
+    mask = {"none": np.zeros(n + 2, dtype=bool), "all": np.ones(n + 2, dtype=bool),
+            "random": rng.random(n + 2) < 0.5}[mask_kind]
+    cols = {"empty": np.empty(0, dtype=np.int64),
+            "single": rng.integers(0, n + 2, size=1),
+            "edgeless": np.array([n, n + 1]),
+            "random": np.flatnonzero(rng.random(n + 2) < 0.4)}[col_kind]
+    return g, mask, cols
+
+
+def nonempty_incidence_rows(g, mask, cols, d):
+    """The wanted result of ``linked``: ``incidence`` of the masked rows, empty rows dropped."""
+    rows = np.flatnonzero(mask)
+    indices, indptr = incidence(g, rows, cols, d)
+    full = np.diff(indptr) > 0
+    return rows[full], (indices, np.concatenate(([0], indptr[1:][full])))
+
+
+@contextmanager
+def sides_taken():
+    """The names of the sides ``linked`` gathers from, in call order."""
+    taken = []
+
+    def spy(name, side):
+        def spied(*args):
+            taken.append(name)
+            return side(*args)
+        return spied
+
+    with mock.patch.object(graph_module, "_pull", spy("_pull", graph_module._pull)), \
+            mock.patch.object(graph_module, "_push", spy("_push", graph_module._push)):
+        yield taken
+
+
+def same_arrays(got, want):
+    (nodes, (indices, indptr)), (w_nodes, (w_indices, w_indptr)) = got, want
+    return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in ((nodes, w_nodes), (indices, w_indices), (indptr, w_indptr)))
+
+
+class TestLinkedProperties:
+    cases = (st.integers(0, 2**32 - 1), st.integers(2, 20), st.sampled_from([0.0, 0.1, 0.3, 0.8]),
+             st.sampled_from(["none", "all", "random"]),
+             st.sampled_from(["empty", "single", "edgeless", "random"]),
+             st.sampled_from(list(Direction)))
+
+    @given(*cases)
+    def test_each_side_gives_the_nonempty_incidence_rows(self, seed, n, share, mask_kind,
+                                                          col_kind, d):
+        g, mask, cols = linked_case(seed, n, share, mask_kind, col_kind)
+        want = nonempty_incidence_rows(g, mask, cols, d)
+        mask.setflags(write=False)
+        cols.setflags(write=False)
+        before = mask.tobytes(), cols.tobytes()
+        for side in (graph_module._pull, graph_module._push, graph_module.linked):
+            assert same_arrays(side(g, mask, cols, d), want), side.__name__
+        assert (mask.tobytes(), cols.tobytes()) == before
+        # the naive sets: every masked node with a neighbour among the columns
+        position = {int(c): j for j, c in enumerate(cols)}
+        nodes, (indices, indptr) = want
+        assert nodes.tolist() == [v for v in np.flatnonzero(mask).tolist()
+                                  if any(u in position for u in g.neighbors(v, d).tolist())]
+        for k, v in enumerate(nodes.tolist()):
+            assert indices[indptr[k]:indptr[k + 1]].tolist() == sorted(
+                position[u] for u in g.neighbors(v, d).tolist() if u in position)
+
+    @given(*cases)
+    def test_the_side_with_fewer_entries_gathers(self, seed, n, share, mask_kind, col_kind, d):
+        g, mask, cols = linked_case(seed, n, share, mask_kind, col_kind)
+        pull = sum(g.degree(v, d) for v in np.flatnonzero(mask).tolist())
+        push = sum(g.degree(v, d.opposite) for v in cols.tolist())
+        with sides_taken() as taken:
+            graph_module.linked(g, mask, cols, d)
+        assert taken == ["_push" if push < pull else "_pull"], (pull, push)
+
+    @pytest.mark.parametrize("cols", [[-1], [-2, 0], [0, 5], [7]])
+    def test_columns_outside_the_graph_are_unknown_nodes(self, cols):
+        g = DirectedGraph.from_edges([(0, 3), (1, 3), (2, 3), (4, 2)], node_count=5)
+        for side in (graph_module._pull, graph_module._push, graph_module.linked):
+            for d in Direction:
+                with pytest.raises(UnknownNodeError):
+                    side(g, np.ones(5, dtype=bool), np.array(cols), d)

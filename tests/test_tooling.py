@@ -11,6 +11,7 @@ from cohprop import features, graph
 from cohprop.features import FeatureStore, write_features_csv
 from cohprop.graph import DirectedGraph, Direction, load_edge_list
 from cohprop.method_a import init_state, step_method_a
+from cohprop.method_b import step_method_b
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -300,3 +301,29 @@ def test_method_a_second_step_gates_only_fresh_neighbours_of_the_additions(monke
     monkeypatch.setattr(features, "_group_stats", counted)
     step_method_a(state, g, store)
     assert rows == [fresh.size], (rows, fresh.size, full)
+
+
+def test_each_incidence_of_a_step_is_one_gather(monkeypatch):
+    # the gate's back-connections and method B's candidate x pivot walk back
+    # each come from one DirectedGraph._gather, on the side with fewer
+    # entries, not from a neighbourhood gather and then an incidence gather
+    rng = np.random.default_rng(7)
+    n = 60
+    g = DirectedGraph.from_edges(rng.integers(0, n, size=(240, 2)), node_count=n)
+    store = FeatureStore(2)
+    seed = np.arange(8)
+    store.set_known_many(seed, rng.normal(size=(seed.size, 2)))
+    gathers = []
+    gather = DirectedGraph._gather
+
+    def counted(self, nodes, direction):
+        gathers.append(nodes.size)
+        return gather(self, nodes, direction)
+
+    monkeypatch.setattr(DirectedGraph, "_gather", counted)
+    for step, want in ((step_method_a, 1), (step_method_b, 2)):
+        gathers.clear()
+        run = store.subset(seed)
+        added, _, _ = step(init_state(run, seed, Direction.UP, 1.5), g, run)
+        assert added.size
+        assert len(gathers) == want, (step.__name__, gathers)
