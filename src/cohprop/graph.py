@@ -6,6 +6,12 @@ queries are both O(degree), with neighbor lists sorted by node id so that
 set intersections run as linear merges. Graphs are read-only after
 construction and safe for concurrent readers.
 
+Each read rule has one home: ``DirectedGraph._csr`` is the one direction
+pick (anything but a :class:`Direction` raises ``TypeError``), ``_check_ids``
+the one node-id bound check, ``_offsets`` builds every CSR row pointer,
+``_run_starts`` marks the runs of a sorted array, and ``_nonempty_rows``
+drops an incidence's empty rows.
+
 :func:`incidence` gives a row set's CSR incidence against a sorted column
 set. :func:`linked` gives the nonempty rows of that incidence for the rows
 of a node mask, from one gather on whichever side has fewer entries: the
@@ -100,14 +106,33 @@ class UnknownNodeError(KeyError):
     """A node id or label that is not part of the graph."""
 
 
+def _check_ids(nodes: np.ndarray, n: int, ordered: bool = True) -> None:
+    """Raise ``UnknownNodeError`` unless ids ``nodes`` (sorted if ``ordered``) are in 0..n-1."""
+    if nodes.size:
+        low, high = (nodes[0], nodes[-1]) if ordered else (nodes.min(), nodes.max())
+        if low < 0 or high >= n:
+            raise UnknownNodeError(f"node id {low if low < 0 else high} outside 0..{n - 1}")
+
+
+def _run_starts(arr: np.ndarray) -> np.ndarray:
+    """Mask of the entries of the sorted array ``arr`` that start a run of equal values."""
+    first = np.empty(arr.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(arr[1:], arr[:-1], out=first[1:])
+    return first
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """The int64 CSR row pointer of rows holding ``counts`` entries: 0, then the running sums."""
+    indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
 def _sorted_unique(arr: np.ndarray) -> np.ndarray:
     """Sort in place and drop neighbour repeats: a sort and a diff, no hash table."""
     arr.sort()
-    if arr.size < 2:
-        return arr
-    fresh = np.empty(arr.size, dtype=bool)
-    fresh[0] = True
-    np.not_equal(arr[1:], arr[:-1], out=fresh[1:])
+    fresh = _run_starts(arr)
     return arr if fresh.all() else arr[fresh]
 
 
@@ -117,10 +142,8 @@ def as_node_array(nodes, node_count: int | None = None) -> np.ndarray:
         arr = _sorted_unique(nodes.astype(np.int64).ravel())
     else:
         arr = _sorted_unique(np.fromiter(nodes, dtype=np.int64))
-    if arr.size and node_count is not None:
-        if arr[0] < 0 or arr[-1] >= node_count:
-            bad = arr[0] if arr[0] < 0 else arr[-1]
-            raise UnknownNodeError(f"node id {bad} outside 0..{node_count - 1}")
+    if node_count is not None:
+        _check_ids(arr, node_count)
     return arr
 
 
@@ -131,13 +154,6 @@ def node_mask(nodes: np.ndarray, node_count: int) -> np.ndarray:
     return mask
 
 
-def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
-    """CSR row pointer of entries whose row ids ``rows`` come out grouped by row."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr
-
-
 def _take_rows(indices: np.ndarray, indptr: np.ndarray, rows: np.ndarray):
     """Rows ``rows`` of a CSR pattern, in order (repeats allowed), as CSR arrays ``(flat, bounds)``.
 
@@ -145,8 +161,7 @@ def _take_rows(indices: np.ndarray, indptr: np.ndarray, rows: np.ndarray):
     """
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
-    bounds = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
+    bounds = _offsets(counts)
     # output slot j of group k reads indices[starts[k] + (j - bounds[k])]
     offsets = np.repeat(starts - bounds[:-1], counts)
     return indices[np.arange(bounds[-1]) + offsets], bounds
@@ -235,13 +250,13 @@ class DirectedGraph:
         src, dst = np.divmod(keys, n)
         np.multiply(dst, n, out=keys)
         keys += src
-        fwd_indptr = _indptr(src, n)
+        fwd_indptr = _offsets(np.bincount(src, minlength=n))
         del src
         keys.sort()
         rev_src = np.empty_like(keys)
         np.divmod(keys, n, out=(keys, rev_src))  # keys become the reverse CSR's rows
         return cls(
-            n, fwd_indptr, dst, _indptr(keys, n), rev_src,
+            n, fwd_indptr, dst, _offsets(np.bincount(keys, minlength=n)), rev_src,
             labels=labels, self_loops_dropped=n_loops, duplicates_collapsed=n_dupes,
         )
 
@@ -256,29 +271,30 @@ class DirectedGraph:
         return int(self._fwd_indices.size)
 
     def _check(self, v: int) -> int:
-        v = int(v)
-        if v < 0 or v >= self._n:
-            raise UnknownNodeError(f"node id {v} outside 0..{self._n - 1}")
-        return v
+        _check_ids(np.array([int(v)]), self._n)
+        return int(v)
+
+    def _csr(self, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
+        """The forward CSR arrays ``(indices, indptr)`` for UP, the reverse ones for DOWN."""
+        if direction is Direction.UP:
+            return self._fwd_indices, self._fwd_indptr
+        if direction is Direction.DOWN:
+            return self._rev_indices, self._rev_indptr
+        raise TypeError(f"direction must be a Direction, got {direction!r}")
 
     def neighbors(self, v: int, direction: Direction) -> np.ndarray:
         """Sorted neighbor ids of ``v``: UP = followees, DOWN = followers."""
         v = self._check(v)
-        if direction is Direction.UP:
-            return self._fwd_indices[self._fwd_indptr[v]:self._fwd_indptr[v + 1]]
-        return self._rev_indices[self._rev_indptr[v]:self._rev_indptr[v + 1]]
+        indices, indptr = self._csr(direction)
+        return indices[indptr[v]:indptr[v + 1]]
 
     def degree(self, v: int, direction: Direction) -> int:
-        v = self._check(v)
-        ptr = self._fwd_indptr if direction is Direction.UP else self._rev_indptr
-        return int(ptr[v + 1] - ptr[v])
+        return self.neighbors(v, direction).size
 
     def neighborhood(self, nodes, direction: Direction) -> np.ndarray:
         """Union of ``neighbors(v, direction)`` over a node set (may overlap it)."""
         flat, _ = self._gather(as_node_array(nodes), direction)
-        seen = np.zeros(self._n, dtype=bool)  # a mask, not a sort: hub lists repeat a lot
-        seen[flat] = True
-        return np.flatnonzero(seen)
+        return np.flatnonzero(node_mask(flat, self._n))  # a mask, not a sort: hub lists repeat
 
     def _gather(self, nodes: np.ndarray, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated neighbor lists of ``nodes`` (in order, repeats allowed).
@@ -286,12 +302,9 @@ class DirectedGraph:
         Returns ``(flat, bounds)`` where the list of nodes[k] occupies
         ``flat[bounds[k]:bounds[k+1]]``.
         """
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= self._n):
-            bad = nodes.min() if nodes.min() < 0 else nodes.max()
-            raise UnknownNodeError(f"node id {bad} outside 0..{self._n - 1}")
-        if direction is Direction.UP:
-            return _take_rows(self._fwd_indices, self._fwd_indptr, nodes)
-        return _take_rows(self._rev_indices, self._rev_indptr, nodes)
+        indices, indptr = self._csr(direction)
+        _check_ids(nodes, self._n, ordered=False)
+        return _take_rows(indices, indptr, nodes)
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u, Direction.UP)
@@ -319,13 +332,14 @@ class DirectedGraph:
         Labels are written as they are. Lines are formatted a block at a
         time, each column in one pass, as the features CSV writer does.
         """
-        followers = np.repeat(np.arange(self._n), np.diff(self._fwd_indptr))
+        followees, indptr = self._csr(Direction.UP)
+        followers = np.repeat(np.arange(self._n), np.diff(indptr))
         label = self._labels.__getitem__
         with open(path, "w", encoding="utf-8") as fh:
             for lo in range(0, followers.size, _BLOCK_LINES):
                 hi = lo + _BLOCK_LINES
                 pairs = zip(map(label, followers[lo:hi].tolist()),
-                            map(label, self._fwd_indices[lo:hi].tolist()))
+                            map(label, followees[lo:hi].tolist()))
                 fh.write("\n".join(map(",".join, pairs)) + "\n")
 
     def write_label_map(self, path) -> None:
@@ -338,9 +352,7 @@ class DirectedGraph:
 
 def _restrict(indices: np.ndarray, indptr: np.ndarray, keep: np.ndarray):
     """CSR arrays ``(indices, indptr)`` keeping the entries in the mask ``keep``; rows stay."""
-    kept = np.zeros(keep.size + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept[1:])
-    return indices[keep], kept[indptr]
+    return indices[keep], _offsets(keep)[indptr]
 
 
 def grouped_restricted_neighbors(
@@ -365,7 +377,7 @@ def incidence(
     rows[k] of that direction's CSR, keeping only the ``cols`` columns.
     Rows may repeat.
     """
-    _check_ends(g, cols)
+    _check_ids(cols, g.node_count)
     flat, bounds = g._gather(np.asarray(rows, dtype=np.int64), direction)
     # one position map is both the membership test (-1: not a column) and the
     # column index; int32 keeps its copy of a hub-sized gather at half size
@@ -373,13 +385,6 @@ def incidence(
     pos[cols] = np.arange(cols.size)
     col = pos[flat]
     return _restrict(col, bounds, col >= 0)
-
-
-def _check_ends(g: DirectedGraph, nodes: np.ndarray) -> None:
-    """Raise ``UnknownNodeError`` unless the ends of the sorted array ``nodes`` are nodes of g."""
-    if nodes.size and (nodes[0] < 0 or nodes[-1] >= g.node_count):
-        bad = nodes[0] if nodes[0] < 0 else nodes[-1]
-        raise UnknownNodeError(f"node id {bad} outside 0..{g.node_count - 1}")
 
 
 def _position_type(n_cols: int):
@@ -406,9 +411,9 @@ def linked(
     (:func:`_push`). A tie pulls, and so does a column set too wide for
     push's keys. The inputs are not written.
     """
-    _check_ends(g, cols)
-    up = direction is Direction.UP
-    own, back = (g._fwd_indptr, g._rev_indptr) if up else (g._rev_indptr, g._fwd_indptr)
+    _, own = g._csr(direction)
+    _, back = g._csr(direction.opposite)
+    _check_ids(cols, g.node_count)
     pull = int(np.diff(own) @ rows)  # a product, not a masked sum: several times faster
     push = int(np.diff(back)[cols].sum())
     if push < pull and g.node_count << _position_bits(cols.size) < _PUSH_KEYS:
@@ -419,7 +424,11 @@ def linked(
 def _pull(g: DirectedGraph, rows: np.ndarray, cols: np.ndarray, direction: Direction):
     """:func:`linked` from the masked rows' own lists: ``incidence`` less its empty rows."""
     nodes = np.flatnonzero(rows)
-    indices, indptr = incidence(g, nodes, cols, direction)
+    return _nonempty_rows(nodes, *incidence(g, nodes, cols, direction))
+
+
+def _nonempty_rows(nodes: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+    """``(nodes, (indices, indptr))`` less the rows without an entry; row k belongs to nodes[k]."""
     full = indptr[1:] > indptr[:-1]
     return nodes[full], (indices, np.concatenate(([0], indptr[1:][full])))
 
@@ -444,10 +453,7 @@ def _push(g: DirectedGraph, rows: np.ndarray, cols: np.ndarray, direction: Direc
     positions = np.empty(keys.size, dtype=_position_type(m))
     np.bitwise_and(keys, (1 << bits) - 1, out=positions)
     keys >>= bits  # each entry's node
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(_run_starts(keys))
     return keys[starts], (positions, np.append(starts, keys.size))
 
 
@@ -749,9 +755,7 @@ def _intern(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray, parts: l
         else:
             order = keys.argsort()
             keys.sort()  # the same as keys[order], without a gather
-        head = np.empty(keys.size, dtype=bool)  # where a key begins, in key order
-        head[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        head = _run_starts(keys)  # where a key begins, in key order
         del keys
         order = order.astype(starts.dtype, copy=False)  # as narrow as the offsets from here on
         bounds = np.flatnonzero(head)

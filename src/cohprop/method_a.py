@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .features import KNOWN, FeatureStore, _gate, validate_norm_order, _validate_epsilon
-from .graph import DirectedGraph, Direction, _check_ends, as_node_array, node_mask
+from .graph import DirectedGraph, Direction, _check_ids, as_node_array, node_mask
 from .graph import grouped_restricted_neighbors  # noqa: F401  (perfbench/spans.py wraps it here)
 
 __all__ = [
@@ -184,7 +184,7 @@ def _open_gate(state: PropagationState, g: DirectedGraph, table: np.ndarray, p: 
     mask is built.
     """
     V, d, n = state.featured, state.direction, g.node_count
-    _check_ends(g, V)  # the ends of the sorted set bound it
+    _check_ids(V, n)  # the ends of the sorted set bound it
     featured = node_mask(V, n)
     excluded = node_mask(state.excluded, n)
     keep = None

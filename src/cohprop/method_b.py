@@ -39,8 +39,8 @@ import numpy as np
 from scipy import sparse
 
 from .features import FeatureStore, _group_stats, _validate_epsilon, validate_norm_order
-from .graph import (DirectedGraph, Direction, _restrict, _take_rows, as_node_array, incidence,
-                    linked)
+from .graph import (DirectedGraph, Direction, _nonempty_rows, _restrict, _take_rows,
+                    as_node_array, incidence, linked)
 from .graph import grouped_restricted_neighbors  # noqa: F401  (perfbench/spans.py wraps it here)
 from .method_a import (PropagationResult, PropagationState, _blacklist, _Gate, _open_gate,
                        _Outcome, _run, _step)
@@ -184,24 +184,20 @@ def _accept_b(gate: _Gate, grid: Sequence[float], scored: Optional[np.ndarray] =
     indices = rows[indices]  # columns: gate rows of the pivots
     if min(grid) < top:  # only a threshold with fewer pivots than the top one cuts C
         # the threshold from which each entry takes part: its pivot must be one,
-        # and a row that is a fresh gate candidate must not be blacklisted; a
-        # row takes part from its first entry on
+        # and a row that is a fresh gate candidate must not be blacklisted
         own = np.full(g.node_count, -np.inf)
         own[cand] = inc
         entry_at = np.maximum(inc[indices], np.repeat(own[fresh], np.diff(indptr)))
         del own  # n floats that no threshold needs again
-        row_at = np.minimum.reduceat(entry_at, indptr[:-1])
 
     pivot_inc = inc[rows]
     for epsilon in grid:
         pivots = int(np.count_nonzero(pivot_inc <= epsilon))
         if pivots == rows.size:
             added, idx, ptr = fresh, indices, indptr
-        else:
-            live = row_at <= epsilon
-            added = fresh[live]
-            idx, ptr = _restrict(indices, indptr, entry_at <= epsilon)
-            ptr = np.concatenate(([0], ptr[1:][live]))  # a dropped row kept no entry
+        else:  # a row takes part while it keeps an entry
+            added, (idx, ptr) = _nonempty_rows(fresh, *_restrict(indices, indptr,
+                                                                 entry_at <= epsilon))
         if candidate_test == "pivot-features":
             tested, _ = _group_stats(gate.centers, idx, ptr, gate.p)
             ok = tested <= epsilon

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, svds
 
 from .features import FeatureStore
-from .graph import DirectedGraph, Direction, as_node_array, incidence
+from .graph import DirectedGraph, Direction, as_node_array, linked
 
 __all__ = [
     "BipartiteAdjacency",
@@ -74,22 +74,21 @@ def bipartite_from_graph(g: DirectedGraph, elites) -> BipartiteAdjacency:
 
     The rows of the forward CSR for those followers, keeping only the elite
     columns; an elite that follows another elite is a follower row too.
+    Followers and rows come from one :func:`cohprop.graph.linked` gather.
     """
     elites = as_node_array(elites, g.node_count)
     if elites.size == 0:
         raise ValueError("elite set is empty")
-    followers = g.neighborhood(elites, Direction.DOWN)
+    followers, (indices, indptr) = linked(g, np.ones(g.node_count, dtype=bool), elites,
+                                          Direction.UP)
     if followers.size == 0:
         raise ValueError("no follower of any elite in the graph")
-    indices, indptr = incidence(g, followers, elites, Direction.UP)
     # built from the arrays, csr_matrix picks int32 indices where they fit
     matrix = sp.csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr),
                            shape=(followers.size, elites.size))
-    return BipartiteAdjacency(
-        matrix,
-        tuple(g.label_of(int(f)) for f in followers),
-        tuple(g.label_of(int(e)) for e in elites),
-    )
+    label = g.labels.__getitem__
+    return BipartiteAdjacency(matrix, tuple(map(label, followers.tolist())),
+                              tuple(map(label, elites.tolist())))
 
 
 def filter_bipartite(

@@ -1,16 +1,25 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cohprop
+from cohprop import cli
 from cohprop.cli import main
 from cohprop.evaluation import CSV_COLUMNS
+from cohprop.features import read_features_csv
 from cohprop.graph import load_edge_list
 from cohprop.synthetic import PlantedConfig, generate_planted
 from oracles import reference_write_edge_list
@@ -470,3 +479,95 @@ def test_pipeline_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     }
     assert [inputs["manifest_report.json"][f"input_{i}"]["path"] for i in range(2)] == [
         "kfold-b/report.csv", "sweep-a/report.csv"]
+
+
+@st.composite
+def cli_inputs(draw):
+    """A small edge file and features CSV, and flags for one propagate and one evaluate run."""
+    n = draw(st.integers(2, 8))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          min_size=1, max_size=20))
+    # a label named only by self-loops is an isolated node of the graph
+    edges += [(v, v) for v in draw(st.lists(st.integers(n, n + 2), max_size=2))]
+    dim = draw(st.integers(1, 4))
+    # seed labels are graph labels, and once in a while one that is not;
+    # values are few, so some rows coincide
+    labels = sorted({f"n{v}" for edge in edges for v in edge})
+    known = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=len(labels),
+                          unique=True))
+    if draw(st.integers(0, 9)) == 7:
+        known.append("unknown")
+    value = st.sampled_from([-1.0, -0.25, 0.0, 0.5, 1.0])
+    rows = [(label, draw(st.lists(value, min_size=dim, max_size=dim))) for label in known]
+    return {
+        "edges": "".join(f"n{u},n{v}\n" for u, v in edges),
+        "features": "node_label," + ",".join(f"f{i + 1}" for i in range(dim)) + "\n"
+                    + "".join(f"{label}," + ",".join(map(repr, vec)) + "\n"
+                              for label, vec in rows),
+        "method": draw(st.sampled_from("ab")),
+        "direction": draw(st.sampled_from(["up", "down"])),
+        "p": draw(st.sampled_from(["1", "1.5", "2", "3"])),
+        "epsilon": draw(st.sampled_from(["0", "0.25", "1"])),
+        "protocol": draw(st.sampled_from(["kfold-b", "sweep-a"])),
+        "grid": draw(st.sampled_from(["0", "0,0.5", "1,0"])),
+        "sample": str(draw(st.integers(min(2, len(known)), len(known)))),
+    }
+
+
+def run_main(argv):
+    """``main(argv)`` in-process: its exit code and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@given(cli_inputs())
+def test_cli_on_random_small_inputs(case):
+    # every run exits 0, or 1 with one error line, no traceback and no
+    # manifest; a propagate output reads back as the store it was written from
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "edges.csv").write_text(case["edges"], encoding="utf-8")
+        (tmp / "features.csv").write_text(case["features"], encoding="utf-8")
+        graph = ["--graph", str(tmp / "edges.csv")]
+        written = []
+        write = cli.write_features_csv
+
+        def kept(path, store, g, include_provenance=False):
+            written.append(store)
+            write(path, store, g, include_provenance)
+
+        runs = {
+            "propagate": ["propagate", *graph, "--method", case["method"],
+                          "--direction", case["direction"], "--epsilon", case["epsilon"],
+                          "--max-steps", "3", "--p", case["p"],
+                          "--seed-features", str(tmp / "features.csv"),
+                          "--out-dir", str(tmp / "propagate"), "--out", "out.csv"],
+            "evaluate": ["evaluate", *graph, "--protocol", case["protocol"],
+                         "--features", str(tmp / "features.csv"),
+                         "--direction", case["direction"], "--epsilon-grid", case["grid"],
+                         "--p", case["p"], "--k", "2", "--sample-size", case["sample"],
+                         "--grid-bins", "2", "--out-dir", str(tmp / "evaluate"),
+                         "--out", "report.csv"],
+        }
+        for sub, argv in runs.items():
+            with mock.patch.object(cli, "write_features_csv", kept):
+                rc, err = run_main(argv)
+            manifest = tmp / sub / f"manifest_{sub}.json"
+            if rc:
+                # a logged warning (a dropped self-loop) may come before the error
+                lines = err.splitlines()
+                assert rc == 1 and "Traceback" not in err, err
+                errors = [line for line in lines if line.startswith("error: ")]
+                assert lines and errors == lines[-1:], err
+                assert not manifest.exists()
+                continue
+            assert manifest.exists()
+            if sub == "propagate":
+                [store] = written
+                back = read_features_csv(tmp / sub / "out.csv", load_edge_list(tmp / "edges.csv"))
+                nodes = store.nodes()
+                assert back.nodes().tolist() == nodes.tolist()
+                assert np.array_equal(back.features_of(nodes), store.features_of(nodes))
+                assert back.steps_of(nodes).tolist() == store.steps_of(nodes).tolist()

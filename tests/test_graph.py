@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -47,6 +48,23 @@ class TestDirection:
         assert Direction.from_string("UP") is Direction.UP
         with pytest.raises(ValueError):
             Direction.from_string("sideways")
+
+    @pytest.mark.parametrize("read", [
+        lambda g, d: g.neighbors(0, d),
+        lambda g, d: g.degree(0, d),
+        lambda g, d: g.neighborhood([0], d),
+        lambda g, d: incidence(g, np.array([0, 1]), np.array([0, 1]), d),
+        lambda g, d: graph_module.linked(g, np.ones(3, dtype=bool), np.array([0, 1]), d),
+        lambda g, d: grouped_restricted_neighbors(g, np.array([0, 1]), np.ones(3, dtype=bool), d),
+    ], ids=["neighbors", "degree", "neighborhood", "incidence", "linked",
+            "grouped_restricted_neighbors"])
+    @pytest.mark.parametrize("bad", ["up", "down", None])
+    def test_only_a_direction_picks_an_index(self, read, bad):
+        # a string must not read the reverse index in silence, as if
+        # neighbors(0, "up") meant node 0's followers
+        g = DirectedGraph.from_edges([(0, 1), (2, 0)], node_count=3)
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            read(g, bad)
 
 
 class TestLoadEdgeList:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cohprop.graph import DirectedGraph, load_edge_list
+from cohprop.graph import DirectedGraph, Direction, incidence, load_edge_list
 from cohprop.scaling import (
     BipartiteAdjacency,
     RankDeficiencyError,
@@ -200,3 +200,43 @@ class TestBipartiteFromGraph:
             assert adj.matrix.toarray().tolist() == want
             assert adj.matrix.dtype == np.int8
             assert not adj.matrix[:, -1].nnz
+
+    def test_one_gather_gives_the_neighbourhood_and_incidence_matrix(self, rng, monkeypatch):
+        # linked's one gather gives the followers and their elite rows that a
+        # neighbourhood gather and then an incidence gather give, bit for bit
+        gathers = []
+        gather = DirectedGraph._gather
+
+        def counted(self, nodes, direction):
+            gathers.append(nodes.size)
+            return gather(self, nodes, direction)
+
+        for trial in range(12):
+            n = int(rng.integers(8, 50))
+            _, edges = random_graph(rng, n, 3 * n)
+            # every node an elite (a tie, so pull), or a few (push)
+            elites = list(range(n)) if trial % 4 == 0 else sorted(
+                rng.choice(n, size=int(rng.integers(2, 6)), replace=False).tolist())
+            # an elite following an elite; an elite (node n) that no one
+            # follows, and two isolated nodes that are not elites
+            edges = sorted(set(edges) | {(elites[0], elites[1])})
+            elites.append(n)
+            g = DirectedGraph.from_edges(edges, node_count=n + 3,
+                                         labels=[f"v{i}" for i in range(n + 3)])
+            followers = g.neighborhood(elites, Direction.DOWN)
+            indices, indptr = incidence(g, followers, np.array(elites), Direction.UP)
+            want = sp.csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr),
+                                 shape=(followers.size, len(elites)))
+
+            gathers.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(DirectedGraph, "_gather", counted)
+                adj = bipartite_from_graph(g, elites)
+            assert len(gathers) == 1, gathers
+            got = adj.matrix
+            assert got.shape == want.shape
+            for a, b in ((got.data, want.data), (got.indices, want.indices),
+                         (got.indptr, want.indptr)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert adj.row_labels == tuple(g.label_of(int(f)) for f in followers)
+            assert adj.col_labels == tuple(f"v{e}" for e in elites)

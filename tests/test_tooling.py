@@ -161,6 +161,47 @@ def test_small_tables_have_one_csv_writer():
     assert sites == ["features._write_csv", "graph.write_label_map"] and mentions == 2, sites
 
 
+def sites_of(wanted):
+    """``module.function`` of each library node for which ``wanted`` holds (innermost def)."""
+    sites = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if wanted(node):
+            sites.append(f"{module}.{function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    return sites
+
+
+def test_csr_arrays_are_read_through_one_direction_pick():
+    # DirectedGraph._csr is the one place a direction picks the forward or the
+    # reverse index; past it, the arrays are read only where they are set and
+    # by edge_count
+    csr = {"_fwd_indptr", "_fwd_indices", "_rev_indptr", "_rev_indices"}
+    sites = sites_of(lambda node: isinstance(node, ast.Attribute) and node.attr in csr)
+    assert sorted(set(sites)) == ["graph.__init__", "graph._csr", "graph.edge_count"], sites
+
+
+def test_node_id_bound_message_is_built_once():
+    # _check_ids is the one node-id bound check behind every read
+    def is_bound_message(node):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(part.value for part in node.values if isinstance(part, ast.Constant))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            return False
+        return "node id" in text and "outside 0.." in text
+
+    sites = sites_of(is_bound_message)
+    assert sites == ["graph._check_ids"], sites
+
+
 def test_cli_reads_no_private_argparse_walk():
     # the config pass looks its subparser up in the map build_parser returns
     tree = ast.parse((Path(cohprop.__file__).parent / "cli.py").read_text(encoding="utf-8"))
